@@ -3,15 +3,90 @@
 Outputs are asserted at byte level where the format promises
 reproducibility (json, csv); table output is checked structurally plus
 for run-to-run byte equality.
+
+test_golden_bytes freezes the stdout bytes and exit code of every
+subcommand in every format, with and without --quiet, against the files
+in tests/golden/.  After a deliberate output change, rewrite them with
+
+    PYTHONPATH=src python3 tests/test_cli.py
 """
 
+import contextlib
+import io
 import json
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import lensmilnor.obstruct as obstruct
 from lensmilnor.cli import OutputRecord, emit_record, main, run
+from lensmilnor.lattice import Isometry, TraceSearch
 from lensmilnor.obstruct import scan
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (name, argv, exit code, patched): each case runs in every format, with
+# and without --quiet.  patched cases run with _contradicting_search in
+# place, which makes scan emit an "internal error" Error row for 7/4.
+GOLDEN_CASES = [
+    ("expand", ["expand", "28/15"], 0, False),
+    ("structures", ["structures", "8/5"], 0, False),
+    ("chern", ["chern", "8/5", "--rot=0,1,0"], 0, False),
+    ("autgroup", ["autgroup", "12/7"], 0, False),
+    ("autgroup_capped", ["autgroup", "--coeffs", "2,2", "--cap", "3", "--strict"], 2, False),
+    ("autgroup_empty", ["autgroup", "--coeffs", "2,2", "--cap", "1"], 0, False),
+    ("obstruct_chern", ["obstruct", "8/5"], 0, False),
+    ("obstruct_registry", ["obstruct", "2/1"], 0, False),
+    ("obstruct_theorem", ["obstruct", "15/4", "--rot=0,0"], 0, False),
+    ("obstruct_computed", ["obstruct", "41/24", "--rot=0,0,0,0"], 0, False),
+    ("obstruct_theorem_only", ["obstruct", "41/24", "--rot=0,0,0,0", "--theorem-only"], 0, False),
+    ("obstruct_witness", ["obstruct", "12/7", "--rot=0,0,0"], 0, False),
+    ("scan", ["scan", "--pmax", "4"], 0, False),
+    ("scan_rot_zero", ["scan", "--pmax", "10", "--rot-zero-only"], 0, False),
+    ("scan_all_even", ["scan", "--pmax", "7", "--all-even-only"], 0, False),
+    ("scan_error", ["scan", "--pmax", "7", "--rot-zero-only"], 0, True),
+]
+
+_real_search = obstruct.find_isometry_with_trace
+
+
+def _contradicting_search(lattice, trace, cap):
+    """A broken trace search that finds a trace -1 witness on [2,4], where
+    TheoremB proves none exists."""
+    if lattice.diag == (2, 4):
+        return TraceSearch(witness=Isometry.identity(2), complete=True, traces=None)
+    return _real_search(lattice, trace, cap)
+
+
+def _golden_path(name, fmt, quiet):
+    # json has no header line, so --quiet shares the default file.
+    suffix = ".quiet" if quiet and fmt != "json" else ""
+    return GOLDEN / f"{name}{suffix}.{fmt}"
+
+
+def _capture(argv, patched):
+    """Exit code and stdout bytes of one CLI run."""
+    buf = io.BytesIO()
+    stdout = io.TextIOWrapper(buf)
+    patch = (
+        mock.patch.object(obstruct, "find_isometry_with_trace", _contradicting_search)
+        if patched
+        else contextlib.nullcontext()
+    )
+    with patch, contextlib.redirect_stdout(stdout):
+        code = run(argv)
+    return code, buf.getvalue()
+
+
+def _golden_params():
+    for name, argv, code, patched in GOLDEN_CASES:
+        for fmt in ("json", "csv", "table"):
+            for quiet in (False, True):
+                flags = ["--format", fmt] + (["--quiet"] if quiet else [])
+                ident = f"{name}-{fmt}" + ("-quiet" if quiet else "")
+                yield pytest.param(name, argv + flags, code, patched, fmt, quiet, id=ident)
 
 
 def _run(capfdbinary, argv):
@@ -339,3 +414,17 @@ def test_main_uses_sys_argv(capfdbinary, monkeypatch):
         main()
     assert excinfo.value.code == 0
     assert capfdbinary.readouterr().out == b"[5,2]\n"
+
+
+@pytest.mark.parametrize("name,argv,code,patched,fmt,quiet", list(_golden_params()))
+def test_golden_bytes(name, argv, code, patched, fmt, quiet):
+    got_code, got = _capture(argv, patched)
+    assert got_code == code
+    assert got == _golden_path(name, fmt, quiet).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for param in _golden_params():
+        name, argv, _, patched, fmt, quiet = param.values
+        _golden_path(name, fmt, quiet).write_bytes(_capture(argv, patched)[1])

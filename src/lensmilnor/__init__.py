@@ -8,15 +8,12 @@ of the plumbing lattice to test for a trace -1 monodromy candidate.
 """
 
 from .contact import (
-    BoundReport,
     ChernResidue,
     RotationVector,
     TightClass,
-    check_c1_theorem,
     chern_residue,
     classify_structure,
     enumerate_structures,
-    lemma_bounds,
     slot_values,
     structure_count,
     zero_vector,
@@ -63,7 +60,6 @@ from .obstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "CFExpansion",
     "CFInvariants",
     "ChernResidue",
@@ -88,7 +84,6 @@ __all__ = [
     "canonical_matrix_key",
     "canonical_vector_key",
     "cf_invariants",
-    "check_c1_theorem",
     "chern_residue",
     "classify_structure",
     "decide_full",
@@ -101,7 +96,6 @@ __all__ = [
     "gerstein_prediction",
     "gram",
     "is_palindromic",
-    "lemma_bounds",
     "orthogonal_group",
     "q_squared_is_one",
     "scan",

@@ -5,12 +5,19 @@ spaces are written P/Q; coefficient lists are comma-separated and may be
 given negated (--coeffs=-2,-4,-2 is normalized to 2,4,2).  Values that
 start with a minus sign must use the --flag=value form.
 
-Output is line-oriented and byte-reproducible: json emits one object per
-line with a fixed key order and no floating point, csv emits a header
-(unless --quiet) and comma-separated rows with bracketed
-semicolon-separated lists and row-major flattened matrices, table emits
-aligned columns.  --strict turns any capped/indeterminate result into
-exit code 2; invalid input exits 1.
+Every subcommand builds rows: ordered field -> value dicts whose lists
+are tuples, with the fields witness and matrix holding row-major
+flattened matrices.  render() turns one row into one line, and the
+output is byte-reproducible: json emits one object per line with a
+fixed key order and no floating point, csv emits a header (unless
+--quiet) and comma-separated rows with bracketed semicolon-separated
+lists and semicolon-joined matrices, table emits aligned columns with
+nested matrices.  Two shapes are format-specific: the table form of
+expand is the bare expansion, and autgroup emits its json as one object
+for the whole group and starts its table with a "# diag" summary line.
+
+Exit codes: 0 ok, 1 invalid input, 2 under --strict when any result is
+capped/indeterminate or an Error row.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import IO, Sequence
 
 from .contact import RotationVector, chern_residue, classify_structure, enumerate_structures
@@ -27,20 +34,6 @@ from .contfrac import LensSpace, expand
 from .errors import InvalidInputError, InvalidNormError, ResultTooLargeError
 from .lattice import DEFAULT_GROUP_CAP, IntersectionLattice, orthogonal_group
 from .obstruct import Record, evaluate_one, scan
-
-_FIELDS = (
-    "p",
-    "q",
-    "coeffs",
-    "rotation",
-    "tight_class",
-    "chern",
-    "verdict",
-    "reason",
-    "witness",
-    "group_order",
-    "complete",
-)
 
 _WIDTHS = {
     "p": 5,
@@ -106,99 +99,51 @@ class OutputRecord:
         )
 
 
+_FIELDS = tuple(f.name for f in dataclass_fields(OutputRecord))
+
+
 def _bracketed(values, sep: str) -> str:
     return "[" + sep.join(str(v) for v in values) + "]"
 
 
-def _csv_cell(value) -> str:
+# Fields whose tuple value is a row-major flattened square matrix.
+_MATRIX_FIELDS = ("witness", "matrix")
+
+
+def _cell(field: str, value, fmt: str) -> str:
+    """The csv or table text of one value."""
     if value is None:
-        return ""
+        return "" if fmt == "csv" else "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
+    if isinstance(value, tuple):
+        if field not in _MATRIX_FIELDS:
+            return _bracketed(value, ";" if fmt == "csv" else ",")
+        if fmt == "csv":
+            return ";".join(str(x) for x in value)
+        n = math.isqrt(len(value))
+        return _bracketed((_bracketed(value[i * n : (i + 1) * n], ",") for i in range(n)), ",")
+    if isinstance(value, str) and fmt == "csv":
         # Keep the row structure intact whatever the text contains.
         return value.replace(",", ";").replace("\n", " ")
     return str(value)
 
 
-def _table_cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _nested_rows(flat: tuple[int, ...]) -> str:
-    n = math.isqrt(len(flat))
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    return "[" + ",".join(_bracketed(r, ",") for r in rows) + "]"
-
-
-def _row_bytes(cells: dict[str, str], fields: Sequence[str], fmt: str) -> bytes:
+def render(row: dict, fmt: str) -> bytes:
+    """One output line for one row of ordered field -> value pairs."""
+    if fmt == "json":
+        return (json.dumps(row, separators=(",", ":")) + "\n").encode()
     if fmt == "csv":
-        return (",".join(cells[f] for f in fields) + "\n").encode()
-    line = "  ".join(cells[f].ljust(_WIDTHS.get(f, 10)) for f in fields).rstrip()
-    return (line + "\n").encode()
-
-
-def _header_bytes(fields: Sequence[str], fmt: str) -> bytes:
-    if fmt == "csv":
-        return (",".join(fields) + "\n").encode()
-    line = "  ".join(f.ljust(_WIDTHS.get(f, 10)) for f in fields).rstrip()
-    return (line + "\n").encode()
+        return (",".join(_cell(f, v, fmt) for f, v in row.items()) + "\n").encode()
+    if fmt == "table":
+        cells = (_cell(f, v, fmt).ljust(_WIDTHS.get(f, 10)) for f, v in row.items())
+        return ("  ".join(cells).rstrip() + "\n").encode()
+    raise InvalidInputError(f"unknown format {fmt!r}")
 
 
 def emit_record(record: OutputRecord, format: str) -> bytes:
     """One output line for one record; identical input, identical bytes."""
-    if format == "json":
-        obj = {
-            "p": record.p,
-            "q": record.q,
-            "coeffs": list(record.coeffs),
-            "rotation": list(record.rotation) if record.rotation is not None else None,
-            "tight_class": record.tight_class,
-            "chern": record.chern,
-            "verdict": record.verdict,
-            "reason": record.reason,
-            "witness": list(record.witness) if record.witness is not None else None,
-            "group_order": record.group_order,
-            "complete": record.complete,
-        }
-        return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
-    if format == "csv":
-        cells = {
-            "p": str(record.p),
-            "q": str(record.q),
-            "coeffs": _bracketed(record.coeffs, ";"),
-            "rotation": _bracketed(record.rotation, ";") if record.rotation is not None else "",
-            "tight_class": _csv_cell(record.tight_class),
-            "chern": _csv_cell(record.chern),
-            "verdict": _csv_cell(record.verdict),
-            "reason": _csv_cell(record.reason),
-            "witness": ";".join(str(x) for x in record.witness)
-            if record.witness is not None
-            else "",
-            "group_order": _csv_cell(record.group_order),
-            "complete": _csv_cell(record.complete),
-        }
-        return _row_bytes(cells, _FIELDS, "csv")
-    if format == "table":
-        cells = {
-            "p": str(record.p),
-            "q": str(record.q),
-            "coeffs": _bracketed(record.coeffs, ","),
-            "rotation": _bracketed(record.rotation, ",") if record.rotation is not None else "-",
-            "tight_class": _table_cell(record.tight_class),
-            "chern": _table_cell(record.chern),
-            "verdict": record.verdict,
-            "reason": _table_cell(record.reason),
-            "witness": _nested_rows(record.witness) if record.witness is not None else "-",
-            "group_order": _table_cell(record.group_order),
-            "complete": _table_cell(record.complete),
-        }
-        return _row_bytes(cells, _FIELDS, "table")
-    raise InvalidInputError(f"unknown format {format!r}")
+    return render(vars(record), format)
 
 
 class _UsageError(Exception):
@@ -235,7 +180,7 @@ def _common_flags() -> argparse.ArgumentParser:
     )
     par.add_argument(
         "--strict", action="store_true", default=argparse.SUPPRESS,
-        help="exit 2 when any result is capped/indeterminate",
+        help="exit 2 when any result is capped/indeterminate or an error",
     )
     return par
 
@@ -264,7 +209,7 @@ def _build_parser() -> _Parser:
     )
     p_chern.add_argument("pq", metavar="P/Q")
     p_chern.add_argument("--rot", required=True, help="rotation numbers r1,...,rn")
-    p_chern.set_defaults(func=_cmd_chern)
+    p_chern.set_defaults(func=_cmd_structures)
 
     p_aut = sub.add_parser(
         "autgroup", parents=[common], help="integral isometry group of the lattice"
@@ -327,70 +272,63 @@ def _normalize_coeffs(values: tuple[int, ...]) -> tuple[int, ...]:
     return values
 
 
+def _emit(ctx: _Ctx, fields: Sequence[str], rows) -> bool:
+    """Write the header (csv and table, unless --quiet) and then the rows.
+
+    The header goes out just before the first row, so an error raised
+    while producing it leaves stdout empty.  Returns True when a row is
+    capped (complete false) or an Error row.
+    """
+    headerless = ctx.fmt == "json" or ctx.quiet
+    header = None if headerless else render(dict(zip(fields, fields)), ctx.fmt)
+    flagged = False
+    for row in rows:
+        if header is not None:
+            ctx.out.write(header)
+            header = None
+        if row.get("complete") is False or row.get("verdict") == "Error":
+            flagged = True
+        ctx.out.write(render(row, ctx.fmt))
+    if header is not None:
+        ctx.out.write(header)
+    return flagged
+
+
+def _rotations(ns, ctx: _Ctx, exp) -> list[RotationVector]:
+    """The structure named by --rot, or every structure when it is absent."""
+    if getattr(ns, "rot", None) is not None:
+        return [RotationVector(exp, _parse_int_list(ns.rot, "--rot"))]
+    return enumerate_structures(exp, cap=ctx.cap)
+
+
 def _cmd_expand(ns, ctx: _Ctx) -> bool:
     p, q = _parse_pq(ns.pq)
-    exp = expand(p, q)
-    if ctx.fmt == "json":
-        obj = {"p": p, "q": q, "coeffs": list(exp)}
-        ctx.out.write((json.dumps(obj, separators=(",", ":")) + "\n").encode())
-    elif ctx.fmt == "csv":
-        if not ctx.quiet:
-            ctx.out.write(_header_bytes(("p", "q", "coeffs"), "csv"))
-        cells = {"p": str(p), "q": str(q), "coeffs": _bracketed(exp, ";")}
-        ctx.out.write(_row_bytes(cells, ("p", "q", "coeffs"), "csv"))
-    else:
-        ctx.out.write((_bracketed(exp, ",") + "\n").encode())
-    return False
+    row = {"p": p, "q": q, "coeffs": tuple(expand(p, q))}
+    if ctx.fmt == "table":
+        # The table form is the bare expansion.
+        ctx.out.write((_cell("coeffs", row["coeffs"], "table") + "\n").encode())
+        return False
+    return _emit(ctx, tuple(row), [row])
 
 
 _STRUCT_FIELDS = ("p", "q", "coeffs", "rotation", "tight_class", "chern")
 
 
-def _emit_structure_line(ctx: _Ctx, p: int, q: int, rot: RotationVector) -> None:
-    residue = chern_residue(rot)
-    tclass = classify_structure(rot)
-    if ctx.fmt == "json":
-        obj = {
+def _cmd_structures(ns, ctx: _Ctx) -> bool:
+    """structures, and chern for the one structure given by --rot."""
+    p, q = _parse_pq(ns.pq)
+    rows = (
+        {
             "p": p,
             "q": q,
-            "coeffs": list(rot.coeffs),
-            "rotation": list(rot.r),
-            "tight_class": tclass.value,
-            "chern": residue.value,
+            "coeffs": tuple(rot.coeffs),
+            "rotation": rot.r,
+            "tight_class": classify_structure(rot).value,
+            "chern": chern_residue(rot).value,
         }
-        ctx.out.write((json.dumps(obj, separators=(",", ":")) + "\n").encode())
-        return
-    sep = ";" if ctx.fmt == "csv" else ","
-    cells = {
-        "p": str(p),
-        "q": str(q),
-        "coeffs": _bracketed(rot.coeffs, sep),
-        "rotation": _bracketed(rot.r, sep),
-        "tight_class": tclass.value,
-        "chern": str(residue.value),
-    }
-    ctx.out.write(_row_bytes(cells, _STRUCT_FIELDS, ctx.fmt))
-
-
-def _cmd_structures(ns, ctx: _Ctx) -> bool:
-    p, q = _parse_pq(ns.pq)
-    exp = expand(p, q)
-    rots = enumerate_structures(exp, cap=ctx.cap)
-    if ctx.fmt in ("csv", "table") and not ctx.quiet:
-        ctx.out.write(_header_bytes(_STRUCT_FIELDS, ctx.fmt))
-    for rot in rots:
-        _emit_structure_line(ctx, p, q, rot)
-    return False
-
-
-def _cmd_chern(ns, ctx: _Ctx) -> bool:
-    p, q = _parse_pq(ns.pq)
-    exp = expand(p, q)
-    rot = RotationVector(exp, _parse_int_list(ns.rot, "--rot"))
-    if ctx.fmt in ("csv", "table") and not ctx.quiet:
-        ctx.out.write(_header_bytes(_STRUCT_FIELDS, ctx.fmt))
-    _emit_structure_line(ctx, p, q, rot)
-    return False
+        for rot in _rotations(ns, ctx, expand(p, q))
+    )
+    return _emit(ctx, _STRUCT_FIELDS, rows)
 
 
 def _cmd_autgroup(ns, ctx: _Ctx) -> bool:
@@ -408,64 +346,42 @@ def _cmd_autgroup(ns, ctx: _Ctx) -> bool:
                 f"with --coeffs {list(diag)}"
             )
         diag = expanded
-    lattice = IntersectionLattice(diag)
-    group = orthogonal_group(lattice, cap=ctx.cap)
+    group = orthogonal_group(IntersectionLattice(diag), cap=ctx.cap)
 
     if ctx.fmt == "json":
+        # One object for the whole group.
         obj = {
-            "diag": list(diag),
+            "diag": diag,
             "order": group.order,
             "complete": group.complete,
-            "elements": [list(e.flatten()) for e in group],
+            "elements": [e.flatten() for e in group],
         }
-        ctx.out.write((json.dumps(obj, separators=(",", ":")) + "\n").encode())
-    else:
-        fields = ("index", "trace", "matrix")
-        if not ctx.quiet:
-            if ctx.fmt == "table":
-                summary = (
-                    f"# diag {_bracketed(diag, ',')} order {group.order} "
-                    f"complete {'true' if group.complete else 'false'}\n"
-                )
-                ctx.out.write(summary.encode())
-            ctx.out.write(_header_bytes(fields, ctx.fmt))
-        for i, e in enumerate(group):
-            cells = {
-                "index": str(i),
-                "trace": str(e.trace),
-                "matrix": ";".join(str(x) for x in e.flatten())
-                if ctx.fmt == "csv"
-                else _nested_rows(e.flatten()),
-            }
-            ctx.out.write(_row_bytes(cells, fields, ctx.fmt))
+        ctx.out.write(render(obj, "json"))
+        return not group.complete
+    if ctx.fmt == "table" and not ctx.quiet:
+        summary = (
+            f"# diag {_cell('diag', diag, 'table')} order {group.order} "
+            f"complete {_cell('complete', group.complete, 'table')}\n"
+        )
+        ctx.out.write(summary.encode())
+    rows = (
+        {"index": i, "trace": e.trace, "matrix": e.flatten()} for i, e in enumerate(group)
+    )
+    _emit(ctx, ("index", "trace", "matrix"), rows)
     return not group.complete
 
 
-def _emit_output_records(ctx: _Ctx, records) -> bool:
-    indeterminate = False
-    header_done = False
-    for rec in records:
-        out = OutputRecord.from_record(rec)
-        if not out.complete:
-            indeterminate = True
-        if ctx.fmt in ("csv", "table") and not ctx.quiet and not header_done:
-            ctx.out.write(_header_bytes(_FIELDS, ctx.fmt))
-        header_done = True
-        ctx.out.write(emit_record(out, ctx.fmt))
-    return indeterminate
+def _emit_records(ctx: _Ctx, records) -> bool:
+    return _emit(ctx, _FIELDS, (vars(OutputRecord.from_record(rec)) for rec in records))
 
 
 def _cmd_obstruct(ns, ctx: _Ctx) -> bool:
     p, q = _parse_pq(ns.pq)
-    exp = expand(p, q)
-    if ns.rot is not None:
-        rots = [RotationVector(exp, _parse_int_list(ns.rot, "--rot"))]
-    else:
-        rots = enumerate_structures(exp, cap=ctx.cap)
-    records = (
-        evaluate_one(p, q, rot, theorem_only=ns.theorem_only, cap=ctx.cap) for rot in rots
+    rots = _rotations(ns, ctx, expand(p, q))
+    return _emit_records(
+        ctx,
+        (evaluate_one(p, q, rot, theorem_only=ns.theorem_only, cap=ctx.cap) for rot in rots),
     )
-    return _emit_output_records(ctx, records)
 
 
 def _cmd_scan(ns, ctx: _Ctx) -> bool:
@@ -475,12 +391,12 @@ def _cmd_scan(ns, ctx: _Ctx) -> bool:
         all_even_only=ns.all_even_only,
         cap=ctx.cap,
     )
-    return _emit_output_records(ctx, records)
+    return _emit_records(ctx, records)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute, return the exit code (0 ok, 1 bad input,
-    2 indeterminate under --strict)."""
+    2 indeterminate or Error rows under --strict)."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -7,8 +7,7 @@ a_i - 1 admissible values, so there are prod(a_i - 1) structures, and
 that product never exceeds p.
 
 The residue sum(r_i mu_i) mod p locates the first Chern class of the
-structure in H^2, and it vanishes exactly for the zero vector; the
-BoundReport inequalities are the arithmetic facts behind that statement.
+structure in H^2, and it vanishes exactly for the zero vector.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .contfrac import CFExpansion, as_expansion, cf_invariants
 from .errors import InvalidInputError, ResultTooLargeError
@@ -78,34 +77,6 @@ class ChernResidue:
         return self.value == 0
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """The four inequalities that force the residue to pin down r.
-
-    sum_below_det:        |sum r_i mu_i| < |det|; a vanishing residue
-                          then forces the sum itself to vanish.
-    tail_weight_grows:    a_n mu_n - a_{n-1} mu_{n-1} > 0 (vacuous n = 1).
-    last_dominates_prev:  |r_n mu_n| > |r_{n-1} mu_{n-1}| when r_n != 0
-                          (vacuous when r_n = 0 or n = 1).
-    last_dominates_rest:  |r_n mu_n| > |sum_{i<n} r_i mu_i| when r_n != 0
-                          (vacuous when r_n = 0).
-    """
-
-    sum_below_det: bool
-    tail_weight_grows: bool
-    last_dominates_prev: bool
-    last_dominates_rest: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.sum_below_det
-            and self.tail_weight_grows
-            and self.last_dominates_prev
-            and self.last_dominates_rest
-        )
-
-
 def slot_values(a: int) -> tuple[int, ...]:
     """Admissible rotation numbers for one coefficient, ascending."""
     if not isinstance(a, int) or a < 2:
@@ -122,16 +93,6 @@ def structure_count(coeffs: CFExpansion | Iterable[int]) -> int:
     return count
 
 
-def iter_rotation_tuples(coeffs: CFExpansion | Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Raw rotation tuples in ascending lexicographic order, uncapped.
-
-    Fast path for exhaustive checks; enumerate_structures wraps the same
-    order in validated RotationVector objects.
-    """
-    exp = as_expansion(coeffs)
-    return itertools.product(*(slot_values(a) for a in exp))
-
-
 def enumerate_structures(
     coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_STRUCTURE_CAP
 ) -> list[RotationVector]:
@@ -146,7 +107,8 @@ def enumerate_structures(
         raise ResultTooLargeError(
             f"{count} structures exceed cap {cap} for coefficients {exp.coeffs}"
         )
-    return [RotationVector(exp, r) for r in iter_rotation_tuples(exp)]
+    slots = (slot_values(a) for a in exp)
+    return [RotationVector(exp, r) for r in itertools.product(*slots)]
 
 
 def zero_vector(coeffs: CFExpansion | Iterable[int]) -> RotationVector:
@@ -170,57 +132,3 @@ def classify_structure(rot: RotationVector) -> TightClass:
     if rot.r == top or rot.r == bottom:
         return TightClass.UNIVERSALLY_TIGHT
     return TightClass.VIRTUALLY_OVERTWISTED
-
-
-def lemma_bounds(rot: RotationVector) -> BoundReport:
-    """Evaluate the four domination inequalities for one structure."""
-    inv = cf_invariants(rot.coeffs)
-    a = rot.coeffs.coeffs
-    r = rot.r
-    mu = inv.mu
-    n = len(a)
-
-    total = sum(ri * mi for ri, mi in zip(r, mu))
-    sum_below_det = abs(total) < abs(inv.det)
-    tail_weight_grows = n == 1 or a[-1] * mu[-1] - a[-2] * mu[-2] > 0
-    if r[-1] == 0:
-        last_dominates_prev = True
-        last_dominates_rest = True
-    else:
-        last = abs(r[-1] * mu[-1])
-        last_dominates_prev = n == 1 or last > abs(r[-2] * mu[-2])
-        last_dominates_rest = last > abs(total - r[-1] * mu[-1])
-
-    return BoundReport(
-        sum_below_det=sum_below_det,
-        tail_weight_grows=tail_weight_grows,
-        last_dominates_prev=last_dominates_prev,
-        last_dominates_rest=last_dominates_rest,
-    )
-
-
-def check_c1_theorem(coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_STRUCTURE_CAP) -> bool:
-    """Verify on one expansion that the residue vanishes only for r = 0.
-
-    Exhausts all structures (capped) and checks residue == 0 iff r == 0.
-    Returns True when the equivalence holds for every structure.
-    """
-    exp = as_expansion(coeffs)
-    count = structure_count(exp)
-    if count > cap:
-        raise ResultTooLargeError(
-            f"{count} structures exceed cap {cap} for coefficients {exp.coeffs}"
-        )
-    inv = cf_invariants(exp)
-    mu = inv.mu
-    p = inv.p
-    for r in iter_rotation_tuples(exp):
-        total = 0
-        zero = True
-        for ri, mi in zip(r, mu):
-            if ri:
-                total += ri * mi
-                zero = False
-        if (total % p == 0) != zero:
-            return False
-    return True

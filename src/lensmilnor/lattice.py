@@ -167,9 +167,6 @@ class Isometry:
         """Row-major flattening, the serialization form."""
         return tuple(x for row in self.rows for x in row)
 
-    def det(self) -> int:
-        return _det_bareiss(self.rows)
-
     def __neg__(self) -> "Isometry":
         return Isometry(tuple(tuple(-x for x in r) for r in self.rows))
 
@@ -199,29 +196,14 @@ def canonical_matrix_key(iso: Isometry) -> tuple[tuple[int, bool], ...]:
     return canonical_vector_key(iso.flatten())
 
 
-def _det_bareiss(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Fraction-free exact determinant (Bareiss elimination)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+# Short-vector sets kept across calls, keyed on (diagonal, norm).  A scan
+# searches each diagonal about once, so only the sets of the current
+# lattice are reused: k distinct diagonal entries need p >= k!, so 16
+# covers every lattice with p < 17!, and a long scan holds no more.
+_SHORT_VECTOR_CACHE_SIZE = 16
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHORT_VECTOR_CACHE_SIZE)
 def _short_vectors_cached(diag: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ...]:
     n = len(diag)
     # Rational sum-of-squares decomposition: after the elimination below,
@@ -358,9 +340,6 @@ class IsometryGroup:
 
     def __iter__(self) -> Iterator[Isometry]:
         return iter(self.elements)
-
-    def __contains__(self, iso: Isometry) -> bool:
-        return iso in self.elements
 
     def traces(self) -> tuple[int, ...]:
         return tuple(sorted(e.trace for e in self.elements))

@@ -256,7 +256,7 @@ def evaluate_one(
     cross_validate_below: int = DEFAULT_CROSS_VALIDATE_BELOW,
 ) -> Record:
     """Full record (class, residue, verdict) for one structure."""
-    coeffs = _checked(p, q, rot)
+    # Both deciders validate (p, q) against rot.coeffs first.
     if theorem_only:
         verdict = decide_theorem(p, q, rot)
     else:
@@ -264,7 +264,7 @@ def evaluate_one(
     return Record(
         p=p,
         q=q,
-        coeffs=coeffs,
+        coeffs=rot.coeffs,
         rotation=rot,
         tight_class=classify_structure(rot),
         chern=chern_residue(rot).value,

@@ -342,6 +342,18 @@ def test_strict_exit_code(capfdbinary):
     assert code == 0
 
 
+def test_strict_fails_on_error_rows():
+    # A theorem contradicted by the enumeration becomes an Error row; it is
+    # not a success.
+    argv = ["scan", "--pmax", "10", "--strict", "--format", "csv", "--quiet"]
+    code, out = _capture(argv, patched=True)
+    assert code == 2
+    assert b"\n7,4,[2;4],[0;0],,,Error,internal error: TheoremB for 7/4" in out
+    code, clean = _capture(argv, patched=False)
+    assert code == 0
+    assert clean.count(b"\n") == out.count(b"\n")
+
+
 def test_invalid_inputs(capfdbinary):
     for argv in [
         ["expand", "4/2"],

@@ -12,16 +12,16 @@ from lensmilnor import (
     TightClass,
     as_expansion,
     cf_invariants,
-    check_c1_theorem,
     chern_residue,
     classify_structure,
     enumerate_structures,
     expand,
-    lemma_bounds,
     slot_values,
     structure_count,
     zero_vector,
 )
+
+from verification import check_c1_theorem, lemma_bounds
 
 
 def test_slot_values():

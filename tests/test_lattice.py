@@ -28,6 +28,10 @@ from lensmilnor import (
     short_vectors,
 )
 
+from lensmilnor.lattice import _SHORT_VECTOR_CACHE_SIZE, _short_vectors_cached
+from lensmilnor.obstruct import scan
+from verification import det
+
 MINUS_RHO_3 = Isometry(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
 
 
@@ -160,10 +164,10 @@ def test_isometry_container():
         assert Isometry.reversal(n).trace == n % 2
     assert (-ident).trace == -3
     assert ident.flatten() == (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    assert ident.det() == 1
-    assert (-ident).det() == -1
-    assert rho.det() == -1
-    assert Isometry.reversal(2).det() == -1
+    assert det(ident) == 1
+    assert det(-ident) == -1
+    assert det(rho) == -1
+    assert det(Isometry.reversal(2)) == -1
     assert rho @ rho == ident
     assert ident @ rho == rho
     a = Isometry(((1, 1), (0, 1)))
@@ -248,7 +252,7 @@ def test_group_structure():
         assert len(set(elems)) == len(elems)
         for a in elems:
             assert lat.is_isometry(a)
-            assert a.det() in (-1, 1)
+            assert det(a) in (-1, 1)
             assert -a in group
         # closed under products, and every element has an inverse
         for a in elems:
@@ -369,3 +373,19 @@ def test_predictions_match_enumeration():
         assert group.complete
         assert group.elements == shape.predicted_elements(lat.n)
         assert group.order == shape.predicted_order
+
+
+def test_short_vector_cache_is_bounded():
+    _short_vectors_cached.cache_clear()
+    assert sum(1 for _ in scan(30)) == 1741
+    info = _short_vectors_cached.cache_info()
+    assert info.misses > _SHORT_VECTOR_CACHE_SIZE
+    assert info.currsize <= _SHORT_VECTOR_CACHE_SIZE
+    # The bound still holds the sets of a lattice with that many distinct
+    # entries, so warming them before a group search saves every one.
+    lat = IntersectionLattice(tuple(range(3, 3 + _SHORT_VECTOR_CACHE_SIZE)))
+    for a in lat.diag:
+        short_vectors(lat, a)
+    hits = _short_vectors_cached.cache_info().hits
+    assert orthogonal_group(lat).order == 2
+    assert _short_vectors_cached.cache_info().hits - hits == _SHORT_VECTOR_CACHE_SIZE

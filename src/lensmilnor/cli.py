@@ -33,7 +33,7 @@ from .contact import RotationVector, chern_residue, classify_structure, enumerat
 from .contfrac import LensSpace, expand
 from .errors import InvalidInputError, InvalidNormError, ResultTooLargeError
 from .lattice import DEFAULT_GROUP_CAP, IntersectionLattice, orthogonal_group
-from .obstruct import Record, evaluate_one, scan
+from .obstruct import Record, _evaluate_or_error, scan
 
 _WIDTHS = {
     "p": 5,
@@ -380,7 +380,10 @@ def _cmd_obstruct(ns, ctx: _Ctx) -> bool:
     rots = _rotations(ns, ctx, expand(p, q))
     return _emit_records(
         ctx,
-        (evaluate_one(p, q, rot, theorem_only=ns.theorem_only, cap=ctx.cap) for rot in rots),
+        (
+            _evaluate_or_error(p, q, rot, theorem_only=ns.theorem_only, cap=ctx.cap)
+            for rot in rots
+        ),
     )
 
 

@@ -27,6 +27,12 @@ number of candidate rows examined by the search.  Diagonals containing
 long runs of 2s have factorially many partial row assignments even when
 the group itself is tiny, so an element cap alone could not keep queries
 from hanging; exhausting either bound reports complete=False.
+
+Those same runs of 2s supply trace -1 elements directly: each 2 is a
+norm-2 root, a run of k of them generates the Weyl group W(A_k), and
+weyl_witness builds a signed product of Coxeter elements of such runs
+in O(n) column updates, with no short vectors and no search.  It only
+ever proves existence, and every matrix it returns is checked exactly.
 """
 
 from __future__ import annotations
@@ -409,6 +415,79 @@ def find_isometry_with_trace(
     except _SearchCapped:
         return TraceSearch(witness=None, complete=False, traces=None)
     return TraceSearch(witness=None, complete=True, traces=tuple(sorted(seen)))
+
+
+def _runs_of_twos(diag: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, length) of every maximal run of consecutive 2s."""
+    runs: list[tuple[int, int]] = []
+    for i, a in enumerate(diag):
+        if a != 2:
+            continue
+        if runs and runs[-1][0] + runs[-1][1] == i:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((i, 1))
+    return runs
+
+
+def _chain_lengths(runs: list[tuple[int, int]], target: int) -> list[int] | None:
+    """Chain length m_j per run (0 for no chain, else 1 <= m_j <= k_j)
+    with sum(m_j + 1 over the chains) == target, preferring long chains
+    in early runs; None when no choice reaches target."""
+    # reachable[j]: the sums the runs j.. can make.
+    reachable: list[set[int]] = [{0}]
+    for _, k in reversed(runs):
+        later = reachable[-1]
+        reachable.append(
+            later | {s + m + 1 for s in later for m in range(1, k + 1) if s + m + 1 <= target}
+        )
+    reachable.reverse()
+    if target not in reachable[0]:
+        return None
+    lengths = []
+    for (_, k), later in zip(runs, reachable[1:]):
+        m = next((m for m in range(k, 0, -1) if target - m - 1 in later), 0)
+        lengths.append(m)
+        if m:
+            target -= m + 1
+    return lengths
+
+
+def weyl_witness(lattice: IntersectionLattice) -> Isometry | None:
+    """A trace -1 isometry from the Weyl group of the runs of 2s, or None.
+
+    Each diagonal 2 is a root e_i of norm 2 whose reflection
+    s_i(x) = x - (x . e_i) e_i is integral, so a maximal run of k 2s
+    generates W(A_k) = S_{k+1}.  A chain of m consecutive simple
+    reflections is a Coxeter element of A_m: trace -1 on the span of its
+    roots, identity on the orthogonal complement.  Roots of different
+    runs are orthogonal, so with at most one chain of m_j <= k_j
+    reflections per run the product sigma has trace n - sum(m_j + 1):
+    a sum of n + 1 makes sigma a witness, a sum of n - 1 makes -sigma
+    one.  Each reflection changes one column of the matrix.  The result
+    is returned only once it is checked exactly, so this can prove
+    existence but never absence.
+    """
+    n = lattice.n
+    runs = _runs_of_twos(lattice.diag)
+    for target, sign in ((n - 1, -1), (n + 1, 1)):
+        lengths = _chain_lengths(runs, target)
+        if lengths is None:
+            continue
+        a = [[sign * int(i == j) for j in range(n)] for i in range(n)]
+        for (start, _), m in zip(runs, lengths):
+            for k in range(start, start + m):
+                # A <- A R_k: s_k sends e_k to -e_k and e_{k+-1} to
+                # e_{k+-1} + e_k, so R_k is the identity but for column
+                # k, which holds -1 at k and 1 at k-1 and k+1.
+                for row in a:
+                    left = row[k - 1] if k else 0
+                    right = row[k + 1] if k + 1 < n else 0
+                    row[k] = left + right - row[k]
+        iso = Isometry(tuple(tuple(row) for row in a))
+        if iso.trace == -1 and lattice.is_isometry(iso):
+            return iso
+    return None
 
 
 class GroupShape(Enum):

@@ -14,7 +14,11 @@ For a tight structure on L(p, q), the layers run in order:
    requires the intersection lattice to admit an isometry of trace -1;
    a completed enumeration with no such element is an obstruction, a
    witness leaves the question open, and a capped search is reported as
-   indeterminate (complete=False).
+   indeterminate (complete=False).  A search of at most 10,000 steps
+   runs first; when it caps, a witness built from the Weyl group of the
+   runs of 2s is tried, and only then the search with the whole cap.
+   The witness is thus the canonically least one when the short search
+   finds it, otherwise the Weyl-group one; both are exactly verified.
 
 Obstructed never misfires (each layer is a proved necessary condition);
 KnownRealizable is asserted only for registry families; everything else
@@ -44,9 +48,13 @@ from .lattice import (
     Isometry,
     find_isometry_with_trace,
     gram,
+    weyl_witness,
 )
 
 DEFAULT_CROSS_VALIDATE_BELOW = 200
+# Budget of the first, short trace -1 search; past it the Weyl-group
+# construction is tried before the search resumes with the whole cap.
+_QUICK_SEARCH_STEPS = 10_000
 
 
 class Outcome(Enum):
@@ -196,6 +204,11 @@ def decide_full(
 ) -> Verdict:
     """decide_theorem plus the trace -1 search on inconclusive cases.
 
+    The search runs with at most _QUICK_SEARCH_STEPS steps first; when
+    that caps, weyl_witness is tried, and only when it finds nothing
+    does the search run again with the whole cap.  Each search is
+    bounded by cap.
+
     Theorem-layer obstructions with p below cross_validate_below are
     cross-checked against the enumeration (a completed search finding a
     trace -1 element there would mean an internal error, and raises).
@@ -214,10 +227,17 @@ def decide_full(
     if verdict.outcome is not Outcome.INCONCLUSIVE:
         return verdict
 
-    search = find_isometry_with_trace(gram(rot.coeffs), -1, cap)
-    if search.witness is not None:
+    lat = gram(rot.coeffs)
+    search = find_isometry_with_trace(lat, -1, min(cap, _QUICK_SEARCH_STEPS))
+    witness = search.witness
+    if not search.complete:
+        witness = weyl_witness(lat)
+        if witness is None and cap > _QUICK_SEARCH_STEPS:
+            search = find_isometry_with_trace(lat, -1, cap)
+            witness = search.witness
+    if witness is not None:
         return Verdict(
-            Outcome.INCONCLUSIVE, Reason.TRACE_WITNESS_EXISTS, search.witness, complete=True
+            Outcome.INCONCLUSIVE, Reason.TRACE_WITNESS_EXISTS, witness, complete=True
         )
     if search.complete:
         return Verdict(
@@ -272,6 +292,26 @@ def evaluate_one(
     )
 
 
+def _evaluate_or_error(
+    p: int,
+    q: int,
+    rot: RotationVector,
+    theorem_only: bool = False,
+    cap: int = DEFAULT_GROUP_CAP,
+    cross_validate_below: int = DEFAULT_CROSS_VALIDATE_BELOW,
+) -> Record:
+    """evaluate_one, with a failure (including the internal error of a
+    theorem contradicted by the enumeration) turned into a record with
+    the error field set."""
+    try:
+        return evaluate_one(p, q, rot, theorem_only, cap, cross_validate_below)
+    except (InvalidInputError, ResultTooLargeError, RuntimeError) as exc:
+        return Record(
+            p, q, rot.coeffs, rot,
+            tight_class=None, chern=None, verdict=None, error=str(exc),
+        )
+
+
 def scan(
     p_max: int,
     rot_zero_only: bool = False,
@@ -312,12 +352,6 @@ def scan(
                     continue
                 rots = enumerate_structures(coeffs)
             for rot in rots:
-                try:
-                    yield evaluate_one(
-                        p, q, rot, cap=cap, cross_validate_below=cross_validate_below
-                    )
-                except (InvalidInputError, ResultTooLargeError, RuntimeError) as exc:
-                    yield Record(
-                        p, q, coeffs, rot,
-                        tight_class=None, chern=None, verdict=None, error=str(exc),
-                    )
+                yield _evaluate_or_error(
+                    p, q, rot, cap=cap, cross_validate_below=cross_validate_below
+                )

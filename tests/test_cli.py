@@ -29,7 +29,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # (name, argv, exit code, patched): each case runs in every format, with
 # and without --quiet.  patched cases run with _contradicting_search in
-# place, which makes scan emit an "internal error" Error row for 7/4.
+# place, which makes scan and obstruct emit an "internal error" Error row
+# for 7/4.
 GOLDEN_CASES = [
     ("expand", ["expand", "28/15"], 0, False),
     ("structures", ["structures", "8/5"], 0, False),
@@ -47,6 +48,7 @@ GOLDEN_CASES = [
     ("scan_rot_zero", ["scan", "--pmax", "10", "--rot-zero-only"], 0, False),
     ("scan_all_even", ["scan", "--pmax", "7", "--all-even-only"], 0, False),
     ("scan_error", ["scan", "--pmax", "7", "--rot-zero-only"], 0, True),
+    ("obstruct_error", ["obstruct", "7/4", "--strict"], 2, True),
 ]
 
 _real_search = obstruct.find_isometry_with_trace
@@ -352,6 +354,14 @@ def test_strict_fails_on_error_rows():
     code, clean = _capture(argv, patched=False)
     assert code == 0
     assert clean.count(b"\n") == out.count(b"\n")
+    # obstruct reports the same failure as a row, not a traceback
+    argv = ["obstruct", "7/4", "--strict", "--format", "csv", "--quiet"]
+    code, out = _capture(argv, patched=True)
+    assert code == 2
+    assert b"7,4,[2;4],[0;0],,,Error,internal error: TheoremB for 7/4" in out
+    code, clean = _capture(argv, patched=False)
+    assert code == 0
+    assert clean.count(b"\n") == out.count(b"\n") == 3
 
 
 def test_invalid_inputs(capfdbinary):

@@ -23,9 +23,13 @@ from lensmilnor import (
     enumerate_structures,
     evaluate_one,
     expand,
+    find_isometry_with_trace,
+    gram,
     scan,
     zero_vector,
 )
+from lensmilnor.lattice import weyl_witness
+from verification import is_isometry_dense
 
 MINUS_RHO_3 = Isometry(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
 
@@ -187,12 +191,27 @@ def test_full_decision_computed_obstruction():
 
 
 def test_full_decision_capped():
-    # long 2-run: the bounded search gives up honestly
-    assert expand(25, 8).coeffs == (4, 2, 2, 2, 2, 2, 2, 2)
-    v = decide_full(25, 8, _zero(25, 8), cap=20_000)
+    # [4, 2, 4, 2] has no Weyl-group witness and its search needs 464
+    # steps: a smaller cap gives up honestly
+    assert expand(41, 12).coeffs == (4, 2, 4, 2)
+    assert weyl_witness(gram(expand(41, 12))) is None
+    v = decide_full(41, 12, _zero(41, 12), cap=100)
     assert (v.outcome, v.reason) == (Outcome.INCONCLUSIVE, None)
     assert not v.complete
     assert v.certificate is None
+    assert find_isometry_with_trace(gram(expand(41, 12)), -1, 463).complete is False
+    assert find_isometry_with_trace(gram(expand(41, 12)), -1, 464).complete
+    # long 2-run: the search alone caps, the Weyl group of the run of 2s
+    # supplies an exactly checked witness
+    assert expand(25, 8).coeffs == (4, 2, 2, 2, 2, 2, 2, 2)
+    lat = gram(expand(25, 8))
+    assert not find_isometry_with_trace(lat, -1, 20_000).complete
+    v = decide_full(25, 8, _zero(25, 8), cap=20_000)
+    assert (v.outcome, v.reason) == (Outcome.INCONCLUSIVE, Reason.TRACE_WITNESS_EXISTS)
+    assert v.complete
+    assert v.witness == weyl_witness(lat)
+    assert v.witness.trace == -1
+    assert is_isometry_dense(lat.diag, v.witness)
 
 
 def test_full_decision_passthrough():

@@ -122,3 +122,17 @@ def det(iso: Isometry) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def is_isometry_dense(diag: tuple[int, ...], iso: Isometry) -> bool:
+    """A M A^T = M by dense integer products, with M built here from the
+    diagonal (off-diagonal -1), not by the library's tridiagonal check."""
+    n = len(diag)
+    m = [[diag[i] if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    a = iso.rows
+    if len(a) != n:
+        return False
+    am = [[sum(a[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return all(
+        sum(am[i][k] * a[j][k] for k in range(n)) == m[i][j] for i in range(n) for j in range(n)
+    )

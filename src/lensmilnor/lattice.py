@@ -8,12 +8,13 @@ so M is positive definite and O_Z(M) = {A : A M A^T = M} is finite.
 Enumeration strategy: an isometry row i must be a vector of norm M_ii,
 and its pairings with earlier rows must reproduce the Gram entries.  Rows
 are filled depth-first over the short-vector lists.  Short vectors come
-from the exact rational decomposition of the quadratic form (the form is
-rewritten as a weighted sum of squares, then coordinates are enumerated
-from the last one down).  The interval endpoints per coordinate are
-located with floats, widened by one unit on each side, and every
-candidate is accepted or rejected by an exact rational comparison, so
-float rounding can only cost a few wasted candidates, never a vector.
+from an integer Fincke-Pohst recursion: the LDL^T factors of the
+tridiagonal form are ratios of the leading minors of the reversed
+diagonal, so the form is a weighted sum of squares whose remainders,
+scaled by one minor, stay integers.  Coordinates are fixed from the first
+one on, each within exact bounds from math.isqrt, and tried in canonical
+order, so the vectors come out canonically sorted by construction.  No
+floats, fractions or sorting are involved.
 
 Canonical order, used everywhere vectors or matrices are listed: each
 coordinate is ranked by magnitude with the negative value first
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
@@ -209,58 +209,73 @@ def canonical_matrix_key(iso: Isometry) -> tuple[tuple[int, bool], ...]:
 _SHORT_VECTOR_CACHE_SIZE = 16
 
 
+def _canonical_range(lo: int, hi: int) -> Iterable[int]:
+    """The integers of [lo, hi] in canonical order 0, -1, 1, -2, 2, ..."""
+    if lo > 0:
+        return range(lo, hi + 1)
+    if hi < 0:
+        return range(hi, lo - 1, -1)
+    out = [0]
+    for k in range(1, max(hi, -lo) + 1):
+        if -k >= lo:
+            out.append(-k)
+        if k <= hi:
+            out.append(k)
+    return out
+
+
 @lru_cache(maxsize=_SHORT_VECTOR_CACHE_SIZE)
 def _short_vectors_cached(diag: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ...]:
     n = len(diag)
-    # Rational sum-of-squares decomposition: after the elimination below,
-    # Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2.
-    q: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = Fraction(diag[i])
-        if i + 1 < n:
-            q[i][i + 1] = Fraction(-1)
-            q[i + 1][i] = Fraction(-1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    # Tridiagonal input keeps the decomposition bidiagonal; record the
-    # nonzero columns so the inner products below stay O(1) per level.
-    cols = [tuple(j for j in range(i + 1, n) if q[i][j] != 0) for i in range(n)]
+    # Leading minors of the reversed diagonal: m[k] = a'_k m[k-1] - m[k-2],
+    # m[0] = 1.  With y = x reversed, the LDL^T form is
+    #   Q(x) = sum_k (m[k] y_k - m[k-1] y_{k+1})^2 / (m[k] m[k-1]),
+    # so level i fixes x_i = y_k with k = n - i, given x_{i-1} = y_{k+1}.
+    m = [1]
+    prev2 = 0
+    for a in reversed(diag):
+        m.append(a * m[-1] - prev2)
+        prev2 = m[-2]
 
     results: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def descend(i: int, remaining: Fraction) -> None:
-        u = Fraction(0)
-        for j in cols[i]:
-            if x[j]:
-                u += q[i][j] * x[j]
-        # |x_i + u| <= sqrt(remaining / q[i][i]); float window +-1, exact filter.
-        bound = math.sqrt(float(remaining / q[i][i]))
-        uf = float(u)
-        lo = math.floor(-bound - uf) - 1
-        hi = math.ceil(bound - uf) + 1
-        for xi in range(lo, hi + 1):
-            term = q[i][i] * (xi + u) ** 2
-            if term > remaining:
-                continue
+    def descend(i: int, s: int) -> None:
+        # s = m[k] * R, R the norm left for the terms k..1.  s is an integer
+        # (Schur complement): the terms above k sum to min over real y_1..y_k
+        # of Q = Q_tail(y_>k) - y_{k+1}^2 (H_k^-1)_kk with (H_k^-1)_kk =
+        # m[k-1] / m[k], H_k the head block.  So the division below is exact.
+        k = n - i
+        mk, mk1 = m[k], m[k - 1]
+        c = mk1 * x[i - 1] if i else 0
+        bound = mk1 * s
+        r = math.isqrt(bound)
+        # t = mk x_i - c needs t^2 <= bound, i.e. |t| <= r.
+        if k == 1:
+            # Last coordinate: only t = +-r with r^2 = bound leaves 0.
+            if r * r != bound:
+                return
+            ends = [(c + t) // mk for t in ((-r, r) if r else (0,)) if (c + t) % mk == 0]
+            if len(ends) == 2 and -ends[0] > ends[1]:
+                ends.reverse()  # canonical: the smaller magnitude first
+            for xi in ends:
+                x[i] = xi
+                results.append(tuple(x))
+            return
+        for xi in _canonical_range(-((r - c) // mk), (c + r) // mk):
+            t = mk * xi - c
             x[i] = xi
-            if i == 0:
-                if term == remaining:
-                    v = tuple(x)
-                    if any(v):
-                        results.append(v)
-            else:
-                descend(i - 1, remaining - term)
-        x[i] = 0
+            descend(i + 1, (bound - t * t) // mk)
 
+    # A positive target keeps the zero vector out (its remainder is the
+    # target itself), and the canonical order per level makes the
+    # depth-first output canonically sorted.
     if target > 0:
-        descend(n - 1, Fraction(target))
-    return tuple(sorted(results, key=canonical_vector_key))
+        try:
+            descend(0, m[n] * target)
+        finally:
+            descend = None  # break the closure's reference to itself
+    return tuple(results)
 
 
 def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ...]]:
@@ -271,7 +286,7 @@ def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ..
         raise InvalidNormError(f"norm must be an integer, got {norm!r}")
     if norm < 0:
         raise InvalidNormError(f"norm must be nonnegative, got {norm}")
-    return [tuple(v) for v in _short_vectors_cached(lattice.diag, norm)]
+    return list(_short_vectors_cached(lattice.diag, norm))
 
 
 class _SearchCapped(Exception):
@@ -330,7 +345,10 @@ def _iter_isometries(lattice: IntersectionLattice, budget: _Budget) -> Iterator[
                 rows.pop()
                 mrows.pop()
 
-    yield from place(0)
+    try:
+        yield from place(0)
+    finally:
+        place = None  # break the closure's reference to itself
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ implementation (box scans for short vectors, all-candidate-matrix
 filtering for groups) before this module was trusted.
 """
 
+import gc
 import itertools
 import math
 
@@ -31,7 +32,7 @@ from lensmilnor import (
 from lensmilnor.contact import zero_vector
 from lensmilnor.lattice import _SHORT_VECTOR_CACHE_SIZE, _short_vectors_cached, weyl_witness
 from lensmilnor.obstruct import decide_theorem, scan
-from verification import det, is_isometry_dense
+from verification import det, is_isometry_dense, short_vectors_rational
 
 MINUS_RHO_3 = Isometry(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
 
@@ -146,6 +147,43 @@ def test_short_vectors_against_box_scan():
             for v in got:
                 assert max(abs(x) for x in v) <= B - 1
             assert got == sorted(got, key=canonical_vector_key)
+
+
+def test_short_vectors_match_rational_enumeration():
+    # A dense rational elimination, independent of the integer recursion,
+    # is the oracle: equal tuples, order included.
+    checked = 0
+    for n in range(1, 5):
+        for diag in itertools.product(range(2, 7), repeat=n):
+            for norm in range(1, 9):
+                assert _short_vectors_cached(diag, norm) == short_vectors_rational(diag, norm)
+                checked += 1
+    for p in range(2, 201):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            diag = expand(p, q).coeffs
+            if gerstein_prediction(IntersectionLattice(diag)) is None:
+                continue
+            for a in sorted(set(diag)):
+                assert _short_vectors_cached(diag, a) == short_vectors_rational(diag, a)
+                checked += 1
+    for k in range(1, 11):
+        for diag in ((4,) + (2,) * k, (2,) * k + (4,)):
+            for norm in (2, 4):
+                assert _short_vectors_cached(diag, norm) == short_vectors_rational(diag, norm)
+                checked += 1
+    assert checked == 8445
+
+
+def test_short_vectors_of_the_long_run_of_twos():
+    # [4, 2^26] at norm 4: the count the rational enumeration gave.
+    assert len(short_vectors(IntersectionLattice((4,) + (2,) * 26), 4)) == 105_354
+    # Reversing the basis is an isometry between [4, 2^k] and [2^k, 4].
+    head = short_vectors(IntersectionLattice((4,) + (2,) * 12), 4)
+    tail = short_vectors(IntersectionLattice((2,) * 12 + (4,)), 4)
+    assert {v[::-1] for v in head} == set(tail)
+    assert len(head) == len(tail)
 
 
 def test_isometry_container():
@@ -433,3 +471,22 @@ def test_weyl_witness_on_theorem_silent_lattices():
                 assert w.trace == -1
                 assert is_isometry_dense(exp.coeffs, w), (p, q)
     assert (silent, covered) == (498, 479)
+
+
+def test_searches_leave_no_garbage_cycles():
+    # Every search's row lists and short-vector data are freed by reference
+    # counting alone, so a long scan never waits on the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        _short_vectors_cached.cache_clear()
+        assert len(short_vectors(IntersectionLattice((4,) + (2,) * 8), 4)) > 0
+        assert find_isometry_with_trace(gram([2, 2]), -1).witness is not None
+        capped = find_isometry_with_trace(gram([4, 2, 4, 2]), -1, 100)
+        assert not capped.complete
+        absent = find_isometry_with_trace(gram([3, 4]), -1)
+        assert absent.complete and absent.witness is None
+        assert orthogonal_group(gram([2, 2, 2])).complete
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -26,3 +26,6 @@ def test_package_imports_only_the_stdlib():
         if m not in sys.stdlib_module_names and m not in ("lensmilnor", "__main__")
     ]
     assert foreign == []
+    # Exact arithmetic stays in int: the start-up of every command skips
+    # the rational and decimal modules.
+    assert "fractions" not in out and "decimal" not in out

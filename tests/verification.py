@@ -4,7 +4,9 @@ not need, used by the tests to re-derive what it asserts."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from lensmilnor import (
@@ -13,6 +15,7 @@ from lensmilnor import (
     ResultTooLargeError,
     RotationVector,
     as_expansion,
+    canonical_vector_key,
     cf_invariants,
     slot_values,
     structure_count,
@@ -136,3 +139,60 @@ def is_isometry_dense(diag: tuple[int, ...], iso: Isometry) -> bool:
     return all(
         sum(am[i][k] * a[j][k] for k in range(n)) == m[i][j] for i in range(n) for j in range(n)
     )
+
+
+def short_vectors_rational(diag: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ...]:
+    """Vectors of norm target by a dense rational sum-of-squares
+    decomposition, coordinates enumerated from the last one down, then
+    sorted canonically: an enumeration independent of the library's
+    integer recursion."""
+    n = len(diag)
+    # Rational sum-of-squares decomposition: after the elimination below,
+    # Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2.
+    q: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = Fraction(diag[i])
+        if i + 1 < n:
+            q[i][i + 1] = Fraction(-1)
+            q[i + 1][i] = Fraction(-1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+    # Tridiagonal input keeps the decomposition bidiagonal; record the
+    # nonzero columns so the inner products below stay O(1) per level.
+    cols = [tuple(j for j in range(i + 1, n) if q[i][j] != 0) for i in range(n)]
+
+    results: list[tuple[int, ...]] = []
+    x = [0] * n
+
+    def descend(i: int, remaining: Fraction) -> None:
+        u = Fraction(0)
+        for j in cols[i]:
+            if x[j]:
+                u += q[i][j] * x[j]
+        # |x_i + u| <= sqrt(remaining / q[i][i]); float window +-1, exact filter.
+        bound = math.sqrt(float(remaining / q[i][i]))
+        uf = float(u)
+        lo = math.floor(-bound - uf) - 1
+        hi = math.ceil(bound - uf) + 1
+        for xi in range(lo, hi + 1):
+            term = q[i][i] * (xi + u) ** 2
+            if term > remaining:
+                continue
+            x[i] = xi
+            if i == 0:
+                if term == remaining:
+                    v = tuple(x)
+                    if any(v):
+                        results.append(v)
+            else:
+                descend(i - 1, remaining - term)
+        x[i] = 0
+
+    if target > 0:
+        descend(n - 1, Fraction(target))
+    return tuple(sorted(results, key=canonical_vector_key))

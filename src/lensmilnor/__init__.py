@@ -31,15 +31,11 @@ from .contfrac import (
 )
 from .errors import InvalidInputError, InvalidNormError, ResultTooLargeError
 from .lattice import (
-    GroupShape,
     IntersectionLattice,
     Isometry,
     IsometryGroup,
     TraceSearch,
-    canonical_matrix_key,
-    canonical_vector_key,
     find_isometry_with_trace,
-    gerstein_prediction,
     gram,
     orthogonal_group,
     short_vectors,
@@ -63,7 +59,6 @@ __all__ = [
     "CFExpansion",
     "CFInvariants",
     "ChernResidue",
-    "GroupShape",
     "IntersectionLattice",
     "InvalidInputError",
     "InvalidNormError",
@@ -81,8 +76,6 @@ __all__ = [
     "TraceSearch",
     "Verdict",
     "as_expansion",
-    "canonical_matrix_key",
-    "canonical_vector_key",
     "cf_invariants",
     "chern_residue",
     "classify_structure",
@@ -93,7 +86,6 @@ __all__ = [
     "evaluate_one",
     "expand",
     "find_isometry_with_trace",
-    "gerstein_prediction",
     "gram",
     "is_palindromic",
     "orthogonal_group",

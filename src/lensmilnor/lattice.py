@@ -23,11 +23,11 @@ rank, and matrices compare row-major.  The depth-first search respects
 it, so groups are emitted already sorted and "first hit" means
 "canonically least".
 
-Caps: a single cap bounds both the number of stored elements and the
-number of candidate rows examined by the search.  Diagonals containing
-long runs of 2s have factorially many partial row assignments even when
-the group itself is tiny, so an element cap alone could not keep queries
-from hanging; exhausting either bound reports complete=False.
+Caps: a single cap bounds the candidate rows the search examines, and so
+the elements too, as each ends with its own row at the last depth.  Long
+runs of 2s have factorially many partial row assignments even when the
+group is tiny, so an element cap alone could not keep queries from
+hanging; exhausting the budget reports complete=False.
 
 Those same runs of 2s supply trace -1 elements directly: each 2 is a
 norm-2 root, a run of k of them generates the Weyl group W(A_k), and
@@ -40,19 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion
 from .errors import InvalidInputError, InvalidNormError
 
 DEFAULT_GROUP_CAP = 1_000_000
-
-
-def canonical_vector_key(v: Iterable[int]) -> tuple[tuple[int, bool], ...]:
-    """Sort key realizing the canonical coordinate order 0 < -1 < 1 < -2 < 2."""
-    return tuple((abs(x), x > 0) for x in v)
 
 
 @dataclass(frozen=True)
@@ -74,34 +68,6 @@ class IntersectionLattice:
     def n(self) -> int:
         return len(self.diag)
 
-    @cached_property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i] = self.diag[i]
-            if i > 0:
-                row[i - 1] = -1
-            if i + 1 < n:
-                row[i + 1] = -1
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    @cached_property
-    def minors(self) -> tuple[int, ...]:
-        """Leading principal minors m_1..m_n; strictly increasing, m_n = det."""
-        prev2, prev = 0, 1
-        out = []
-        for a in self.diag:
-            prev2, prev = prev, a * prev - prev2
-            out.append(prev)
-        return tuple(out)
-
-    @property
-    def det(self) -> int:
-        return self.minors[-1]
-
     def mrow(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix-vector product M v, using tridiagonality."""
         n = self.n
@@ -113,14 +79,6 @@ class IntersectionLattice:
             for k in range(n)
         )
 
-    def norm(self, v: tuple[int, ...]) -> int:
-        """v M v^T."""
-        return sum(x * y for x, y in zip(v, self.mrow(v)))
-
-    def pairing(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        """u M v^T."""
-        return sum(x * y for x, y in zip(u, self.mrow(v)))
-
     def is_isometry(self, iso: "Isometry") -> bool:
         """Exact check of A M A^T = M."""
         if iso.n != self.n:
@@ -128,7 +86,7 @@ class IntersectionLattice:
         mrows = [self.mrow(r) for r in iso.rows]
         for i, ri in enumerate(iso.rows):
             for j in range(i + 1):
-                want = self.matrix[i][j]
+                want = self.diag[i] if j == i else -1 if j == i - 1 else 0
                 if sum(x * y for x, y in zip(ri, mrows[j])) != want:
                     return False
         return True
@@ -195,11 +153,6 @@ class Isometry:
     def reversal(n: int) -> "Isometry":
         """The basis-reversing antidiagonal matrix rho."""
         return Isometry(tuple(tuple(int(i + j == n - 1) for j in range(n)) for i in range(n)))
-
-
-def canonical_matrix_key(iso: Isometry) -> tuple[tuple[int, bool], ...]:
-    """Row-major canonical key for whole matrices."""
-    return canonical_vector_key(iso.flatten())
 
 
 # Short-vector sets kept across calls, keyed on (diagonal, norm).  A scan
@@ -293,22 +246,14 @@ class _SearchCapped(Exception):
     """Internal: the row search exhausted its work budget."""
 
 
-class _Budget:
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: int):
-        self.steps = steps
-
-
-def _iter_isometries(lattice: IntersectionLattice, budget: _Budget) -> Iterator[Isometry]:
+def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometry]:
     """Yield every element of O_Z(M) in canonical order.
 
-    Charges one budget step per candidate row examined; raises
-    _SearchCapped when the budget runs out.
+    Charges one step per candidate row examined; raises _SearchCapped
+    once more than cap steps are needed.
     """
     n = lattice.n
     diag = lattice.diag
-    gram_rows = lattice.matrix
     base: dict[int, tuple[tuple[int, ...], ...]] = {}
     sparse: dict[int, list[tuple[tuple[int, int], ...]]] = {}
     for a in sorted(set(diag)):
@@ -318,26 +263,30 @@ def _iter_isometries(lattice: IntersectionLattice, budget: _Budget) -> Iterator[
 
     rows: list[tuple[int, ...]] = []
     mrows: list[tuple[int, ...]] = []
+    steps = cap
 
     def place(d: int) -> Iterator[Isometry]:
+        nonlocal steps
         if d == n:
             yield Isometry(tuple(rows))
             return
-        want = gram_rows[d]
         for v, sv in zip(base[diag[d]], sparse[diag[d]]):
-            budget.steps -= 1
-            if budget.steps < 0:
+            steps -= 1
+            if steps < 0:
                 raise _SearchCapped
             ok = True
-            # Newest constraint first: adjacency (-1) kills most candidates.
+            # Newest first: the adjacent row must pair to -1 (which kills
+            # most candidates), older rows to 0.
+            want = -1
             for j in range(d - 1, -1, -1):
                 mr = mrows[j]
                 s = 0
                 for i, xv in sv:
                     s += xv * mr[i]
-                if s != want[j]:
+                if s != want:
                     ok = False
                     break
+                want = 0
             if ok:
                 rows.append(v)
                 mrows.append(lattice.mrow(v))
@@ -390,23 +339,19 @@ class TraceSearch:
 def orthogonal_group(lattice: IntersectionLattice, cap: int = DEFAULT_GROUP_CAP) -> IsometryGroup:
     """Enumerate O_Z(M) = {A : A M A^T = M}, canonically ordered.
 
-    Stops with complete=False once more than cap elements exist or the
-    search examines more than cap candidate rows.
+    Stops with complete=False once the search examines more than cap
+    candidate rows, keeping the elements found until then (at most cap
+    of them, a canonical prefix of the group).
     """
     if cap < 1:
         raise InvalidInputError(f"cap must be positive, got {cap}")
     elements: list[Isometry] = []
-    budget = _Budget(cap)
-    complete = True
     try:
-        for iso in _iter_isometries(lattice, budget):
-            if len(elements) >= cap:
-                complete = False
-                break
+        for iso in _iter_isometries(lattice, cap):
             elements.append(iso)
     except _SearchCapped:
-        complete = False
-    return IsometryGroup(tuple(elements), complete)
+        return IsometryGroup(tuple(elements), complete=False)
+    return IsometryGroup(tuple(elements), complete=True)
 
 
 def find_isometry_with_trace(
@@ -421,14 +366,11 @@ def find_isometry_with_trace(
     """
     if cap < 1:
         raise InvalidInputError(f"cap must be positive, got {cap}")
-    budget = _Budget(cap)
     seen: list[int] = []
     try:
-        for iso in _iter_isometries(lattice, budget):
+        for iso in _iter_isometries(lattice, cap):
             if iso.trace == trace:
                 return TraceSearch(witness=iso, complete=True, traces=None)
-            if len(seen) >= cap:
-                return TraceSearch(witness=None, complete=False, traces=None)
             seen.append(iso.trace)
     except _SearchCapped:
         return TraceSearch(witness=None, complete=False, traces=None)
@@ -506,36 +448,3 @@ def weyl_witness(lattice: IntersectionLattice) -> Isometry | None:
         if iso.trace == -1 and lattice.is_isometry(iso):
             return iso
     return None
-
-
-class GroupShape(Enum):
-    """Predicted shape of O_Z(M) for diagonals with every entry >= 3:
-    sign pair {+-id} when the diagonal is not palindromic, sign pair plus
-    reversal {+-id, +-rho} when it is."""
-
-    SIGNS_ONLY = "signs_only"
-    SIGNS_AND_REVERSAL = "signs_and_reversal"
-
-    @property
-    def predicted_order(self) -> int:
-        return 2 if self is GroupShape.SIGNS_ONLY else 4
-
-    def predicted_elements(self, n: int) -> tuple[Isometry, ...]:
-        """The predicted group, built directly and canonically sorted."""
-        ident = Isometry.identity(n)
-        elems = [ident, -ident]
-        if self is GroupShape.SIGNS_AND_REVERSAL:
-            rho = Isometry.reversal(n)
-            elems += [rho, -rho]
-        return tuple(sorted(elems, key=canonical_matrix_key))
-
-
-def gerstein_prediction(lattice: IntersectionLattice) -> GroupShape | None:
-    """Shape of O_Z(M) when rank >= 2 and every diagonal entry >= 3;
-    None when that hypothesis fails (2s in the diagonal allow much larger
-    groups)."""
-    if lattice.n < 2 or min(lattice.diag) < 3:
-        return None
-    if lattice.diag == lattice.diag[::-1]:
-        return GroupShape.SIGNS_AND_REVERSAL
-    return GroupShape.SIGNS_ONLY

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .contact import (
@@ -51,7 +52,8 @@ from .lattice import (
     weyl_witness,
 )
 
-DEFAULT_CROSS_VALIDATE_BELOW = 200
+# Theorem-layer obstructions with p up to this are re-checked by the search.
+_CROSS_VALIDATE_MAX_P = 200
 # Budget of the first, short trace -1 search; past it the Weyl-group
 # construction is tried before the search resumes with the whole cap.
 _QUICK_SEARCH_STEPS = 10_000
@@ -73,15 +75,17 @@ class Reason(Enum):
     REGISTRY_AN = "RegistryAn"
     TRACE_WITNESS_EXISTS = "TraceWitnessExists"
 
-    @property
-    def obstructs(self) -> bool:
-        return self in (
-            Reason.CHERN_NONZERO,
-            Reason.THEOREM_B,
-            Reason.THEOREM_CI,
-            Reason.THEOREM_CII,
-            Reason.COMPUTED_NO_TRACE_MINUS_ONE,
-        )
+    # Cached on the member: each verdict reads it, and enum attribute
+    # lookups are slow on CPython 3.11.
+    @cached_property
+    def outcome(self) -> Outcome:
+        """The registry reasons realize, a trace witness leaves the case
+        open, and every other reason is a proved obstruction."""
+        if self in (Reason.REGISTRY_HIRZEBRUCH, Reason.REGISTRY_AN):
+            return Outcome.KNOWN_REALIZABLE
+        if self is Reason.TRACE_WITNESS_EXISTS:
+            return Outcome.INCONCLUSIVE
+        return Outcome.OBSTRUCTED
 
 
 _THEOREM_REASONS = (Reason.THEOREM_B, Reason.THEOREM_CI, Reason.THEOREM_CII)
@@ -91,31 +95,28 @@ _THEOREM_REASONS = (Reason.THEOREM_B, Reason.THEOREM_CI, Reason.THEOREM_CII)
 class Verdict:
     """Decision for one (p, q, r).
 
-    certificate carries the payload appropriate to the reason: a witness
-    Isometry for TraceWitnessExists, the group's sorted trace multiset
-    for ComputedNoTraceMinusOne, a defining-equation citation for the
-    registry reasons, None otherwise.  reason is None when the theorem
-    layer is silent and no computation settled the case.  complete=False
-    marks verdicts left indeterminate by a capped search.
+    outcome is derived: reason.outcome, or Inconclusive when reason is
+    None.  certificate carries the payload appropriate to the reason: a
+    witness Isometry for TraceWitnessExists, the group's sorted trace
+    multiset for ComputedNoTraceMinusOne, a defining-equation citation
+    for the registry reasons, None otherwise.  reason is None when the
+    theorem layer is silent and no computation settled the case.
+    complete=False marks verdicts left indeterminate by a capped search.
     """
 
-    outcome: Outcome
     reason: Reason | None
     certificate: Isometry | tuple[int, ...] | str | None = None
     complete: bool = True
 
     def __post_init__(self) -> None:
-        if self.outcome is Outcome.OBSTRUCTED and not (self.reason and self.reason.obstructs):
-            raise InvalidInputError(f"reason {self.reason} cannot justify Obstructed")
-        if self.outcome is Outcome.KNOWN_REALIZABLE and self.reason not in (
-            Reason.REGISTRY_HIRZEBRUCH,
-            Reason.REGISTRY_AN,
-        ):
-            raise InvalidInputError(f"reason {self.reason} cannot justify KnownRealizable")
         if self.reason is Reason.TRACE_WITNESS_EXISTS and not isinstance(
             self.certificate, Isometry
         ):
             raise InvalidInputError("TraceWitnessExists requires a witness isometry")
+
+    @property
+    def outcome(self) -> Outcome:
+        return self.reason.outcome if self.reason is not None else Outcome.INCONCLUSIVE
 
     @property
     def witness(self) -> Isometry | None:
@@ -174,34 +175,29 @@ def decide_theorem(p: int, q: int, rot: RotationVector) -> Verdict:
 
     residue = chern_residue(rot)
     if residue.value != 0:
-        return Verdict(Outcome.OBSTRUCTED, Reason.CHERN_NONZERO)
+        return Verdict(Reason.CHERN_NONZERO)
     # Residue 0 forces r = 0 (and hence every a_i even); anything else
     # here would contradict the vanishing theorem the gate encodes.
-    assert rot.is_zero, "zero residue with nonzero rotation vector"
+    if not rot.is_zero:
+        raise RuntimeError(f"internal error: zero residue for {p}/{q} with r = {rot.r}")
 
     for entry in REGISTRY:
         if entry.matches(coeffs):
-            return Verdict(Outcome.KNOWN_REALIZABLE, entry.reason, entry.citation)
+            return Verdict(entry.reason, entry.citation)
 
     xs = [a // 2 for a in coeffs]
     n = len(xs)
     if n == 2 and xs[0] * xs[1] > 1:
-        return Verdict(Outcome.OBSTRUCTED, Reason.THEOREM_B)
+        return Verdict(Reason.THEOREM_B)
     if n >= 3 and all(x > 1 for x in xs):
         if not q_squared_is_one(p, q):
-            return Verdict(Outcome.OBSTRUCTED, Reason.THEOREM_CI)
+            return Verdict(Reason.THEOREM_CI)
         if n % 2 == 0:
-            return Verdict(Outcome.OBSTRUCTED, Reason.THEOREM_CII)
-    return Verdict(Outcome.INCONCLUSIVE, None)
+            return Verdict(Reason.THEOREM_CII)
+    return Verdict(None)
 
 
-def decide_full(
-    p: int,
-    q: int,
-    rot: RotationVector,
-    cap: int = DEFAULT_GROUP_CAP,
-    cross_validate_below: int = DEFAULT_CROSS_VALIDATE_BELOW,
-) -> Verdict:
+def decide_full(p: int, q: int, rot: RotationVector, cap: int = DEFAULT_GROUP_CAP) -> Verdict:
     """decide_theorem plus the trace -1 search on inconclusive cases.
 
     The search runs with at most _QUICK_SEARCH_STEPS steps first; when
@@ -209,13 +205,13 @@ def decide_full(
     does the search run again with the whole cap.  Each search is
     bounded by cap.
 
-    Theorem-layer obstructions with p below cross_validate_below are
-    cross-checked against the enumeration (a completed search finding a
-    trace -1 element there would mean an internal error, and raises).
+    Theorem-layer obstructions with p <= 200 are cross-checked against
+    the enumeration (a completed search finding a trace -1 element there
+    would mean an internal error, and raises).
     """
     verdict = decide_theorem(p, q, rot)
 
-    if verdict.reason in _THEOREM_REASONS and p <= cross_validate_below:
+    if verdict.reason in _THEOREM_REASONS and p <= _CROSS_VALIDATE_MAX_P:
         search = find_isometry_with_trace(gram(rot.coeffs), -1, cap)
         if search.witness is not None:
             raise RuntimeError(
@@ -236,17 +232,10 @@ def decide_full(
             search = find_isometry_with_trace(lat, -1, cap)
             witness = search.witness
     if witness is not None:
-        return Verdict(
-            Outcome.INCONCLUSIVE, Reason.TRACE_WITNESS_EXISTS, witness, complete=True
-        )
+        return Verdict(Reason.TRACE_WITNESS_EXISTS, witness)
     if search.complete:
-        return Verdict(
-            Outcome.OBSTRUCTED,
-            Reason.COMPUTED_NO_TRACE_MINUS_ONE,
-            search.traces,
-            complete=True,
-        )
-    return Verdict(Outcome.INCONCLUSIVE, None, None, complete=False)
+        return Verdict(Reason.COMPUTED_NO_TRACE_MINUS_ONE, search.traces)
+    return Verdict(None, complete=False)
 
 
 @dataclass(frozen=True)
@@ -273,14 +262,13 @@ def evaluate_one(
     rot: RotationVector,
     theorem_only: bool = False,
     cap: int = DEFAULT_GROUP_CAP,
-    cross_validate_below: int = DEFAULT_CROSS_VALIDATE_BELOW,
 ) -> Record:
     """Full record (class, residue, verdict) for one structure."""
     # Both deciders validate (p, q) against rot.coeffs first.
     if theorem_only:
         verdict = decide_theorem(p, q, rot)
     else:
-        verdict = decide_full(p, q, rot, cap, cross_validate_below)
+        verdict = decide_full(p, q, rot, cap)
     return Record(
         p=p,
         q=q,
@@ -298,13 +286,12 @@ def _evaluate_or_error(
     rot: RotationVector,
     theorem_only: bool = False,
     cap: int = DEFAULT_GROUP_CAP,
-    cross_validate_below: int = DEFAULT_CROSS_VALIDATE_BELOW,
 ) -> Record:
     """evaluate_one, with a failure (including the internal error of a
     theorem contradicted by the enumeration) turned into a record with
     the error field set."""
     try:
-        return evaluate_one(p, q, rot, theorem_only, cap, cross_validate_below)
+        return evaluate_one(p, q, rot, theorem_only, cap)
     except (InvalidInputError, ResultTooLargeError, RuntimeError) as exc:
         return Record(
             p, q, rot.coeffs, rot,
@@ -317,7 +304,6 @@ def scan(
     rot_zero_only: bool = False,
     all_even_only: bool = False,
     cap: int = DEFAULT_GROUP_CAP,
-    cross_validate_below: int = DEFAULT_CROSS_VALIDATE_BELOW,
 ) -> Iterator[Record]:
     """Records for every coprime (p, q) with 2 <= p <= p_max, in canonical
     order: p ascending, q ascending, structures in enumeration order.
@@ -352,6 +338,4 @@ def scan(
                     continue
                 rots = enumerate_structures(coeffs)
             for rot in rots:
-                yield _evaluate_or_error(
-                    p, q, rot, cap=cap, cross_validate_below=cross_validate_below
-                )
+                yield _evaluate_or_error(p, q, rot, cap=cap)

@@ -13,17 +13,12 @@ import math
 import pytest
 
 from lensmilnor import (
-    GroupShape,
     IntersectionLattice,
     InvalidInputError,
     InvalidNormError,
     Isometry,
-    canonical_matrix_key,
-    canonical_vector_key,
-    cf_invariants,
     expand,
     find_isometry_with_trace,
-    gerstein_prediction,
     gram,
     orthogonal_group,
     short_vectors,
@@ -32,7 +27,18 @@ from lensmilnor import (
 from lensmilnor.contact import zero_vector
 from lensmilnor.lattice import _SHORT_VECTOR_CACHE_SIZE, _short_vectors_cached, weyl_witness
 from lensmilnor.obstruct import decide_theorem, scan
-from verification import det, is_isometry_dense, short_vectors_rational
+from verification import (
+    GroupShape,
+    canonical_matrix_key,
+    canonical_vector_key,
+    dense_gram,
+    det,
+    gerstein_prediction,
+    is_isometry_dense,
+    norm,
+    pairing,
+    short_vectors_rational,
+)
 
 MINUS_RHO_3 = Isometry(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
 
@@ -49,39 +55,17 @@ def test_lattice_validation():
     assert gram([2, 4]).diag == (2, 4)
 
 
-def test_matrix_and_minors():
-    lat = gram([2, 4, 2])
-    assert lat.matrix == ((2, -1, 0), (-1, 4, -1), (0, -1, 2))
-    assert lat.minors == (2, 7, 12)
-    assert lat.det == 12
-    assert gram([6]).matrix == ((6,),)
-    assert gram([6]).det == 6
-    assert gram([2, 2]).minors == (2, 3)
-
-
-def test_minors_match_expansion_invariants():
-    # leading minors continue the weight recursion: minors[i] = mu[i+1]
-    # (one step past the stored weights at the top), and det = p
-    for p in range(2, 101):
-        for q in range(1, p):
-            if math.gcd(p, q) != 1:
-                continue
-            exp = expand(p, q)
-            inv = cf_invariants(exp)
-            lat = gram(exp)
-            assert lat.det == p
-            assert lat.minors[: len(exp) - 1] == inv.mu[1:]
-            assert all(x < y for x, y in zip((1,) + lat.minors, lat.minors))
-
-
 def test_norm_and_pairing():
-    lat = gram([2, 2, 4])
-    assert lat.norm((1, 0, 0)) == 2
-    assert lat.norm((0, 0, 1)) == 4
-    assert lat.norm((1, 1, 1)) == 2 + 2 + 4 - 2 - 2
-    assert lat.pairing((1, 0, 0), (0, 1, 0)) == -1
-    assert lat.pairing((1, 0, 0), (0, 0, 1)) == 0
-    assert lat.pairing((1, 2, 3), (3, 2, 1)) == lat.pairing((3, 2, 1), (1, 2, 3))
+    # the dense oracles the box scans below rely on
+    m = dense_gram((2, 2, 4))
+    assert m == [[2, -1, 0], [-1, 2, -1], [0, -1, 4]]
+    assert dense_gram((6,)) == [[6]]
+    assert norm(m, (1, 0, 0)) == 2
+    assert norm(m, (0, 0, 1)) == 4
+    assert norm(m, (1, 1, 1)) == 2 + 2 + 4 - 2 - 2
+    assert pairing(m, (1, 0, 0), (0, 1, 0)) == -1
+    assert pairing(m, (1, 0, 0), (0, 0, 1)) == 0
+    assert pairing(m, (1, 2, 3), (3, 2, 1)) == pairing(m, (3, 2, 1), (1, 2, 3))
 
 
 def test_short_vector_examples():
@@ -136,13 +120,14 @@ def test_short_vectors_against_box_scan():
     for diag in diags:
         lat = IntersectionLattice(diag)
         n = lat.n
+        m = dense_gram(diag)
         by_norm = {}
         for v in itertools.product(range(-B, B + 1), repeat=n):
             if any(v):
-                by_norm.setdefault(lat.norm(v), []).append(v)
-        for norm in range(0, 9):
-            got = short_vectors(lat, norm)
-            want = sorted(by_norm.get(norm, []), key=canonical_vector_key)
+                by_norm.setdefault(norm(m, v), []).append(v)
+        for target in range(0, 9):
+            got = short_vectors(lat, target)
+            want = sorted(by_norm.get(target, []), key=canonical_vector_key)
             assert got == want
             for v in got:
                 assert max(abs(x) for x in v) <= B - 1
@@ -155,8 +140,8 @@ def test_short_vectors_match_rational_enumeration():
     checked = 0
     for n in range(1, 5):
         for diag in itertools.product(range(2, 7), repeat=n):
-            for norm in range(1, 9):
-                assert _short_vectors_cached(diag, norm) == short_vectors_rational(diag, norm)
+            for target in range(1, 9):
+                assert _short_vectors_cached(diag, target) == short_vectors_rational(diag, target)
                 checked += 1
     for p in range(2, 201):
         for q in range(1, p):
@@ -170,8 +155,8 @@ def test_short_vectors_match_rational_enumeration():
                 checked += 1
     for k in range(1, 11):
         for diag in ((4,) + (2,) * k, (2,) * k + (4,)):
-            for norm in (2, 4):
-                assert _short_vectors_cached(diag, norm) == short_vectors_rational(diag, norm)
+            for target in (2, 4):
+                assert _short_vectors_cached(diag, target) == short_vectors_rational(diag, target)
                 checked += 1
     assert checked == 8445
 
@@ -380,6 +365,42 @@ def test_group_caps():
     assert not group.complete
     with pytest.raises(InvalidInputError):
         orthogonal_group(gram([2, 2]), cap=0)
+
+
+def _caps():
+    # every cap up to 64, then a ladder; the search stops far below 4**10
+    yield from range(1, 65)
+    cap = 256
+    while True:
+        yield cap
+        cap *= 4
+
+
+def test_step_budget_alone_bounds_a_capped_search():
+    # Each element ends with its own candidate row at the last depth, so
+    # the step budget also bounds the element count: a capped group is a
+    # canonical prefix of the full one with at most cap elements.
+    diags = [d for n in range(1, 5) for d in itertools.product(range(2, 5), repeat=n)]
+    diags.append((2,) * 6)
+    for diag in diags:
+        lat = IntersectionLattice(diag)
+        groups = []
+        for cap in _caps():
+            groups.append((cap, orthogonal_group(lat, cap)))
+            if groups[-1][1].complete:
+                break
+        last_cap, full = groups[-1]
+        for cap, group in groups:
+            assert group.order <= cap
+            assert group.elements == full.elements[: group.order]
+            assert group.complete == (cap == last_cap)
+        # the trace search runs under the same budget
+        for cap, group in groups[:16]:
+            assert find_isometry_with_trace(lat, 99, cap).complete == group.complete
+        search = find_isometry_with_trace(lat, 99, last_cap + 1)
+        assert search.complete and search.witness is None
+        assert search.traces == full.traces()
+    assert full.order == 2 * math.factorial(7)
 
 
 def test_gerstein_prediction():

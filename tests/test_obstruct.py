@@ -10,6 +10,7 @@ import math
 import pytest
 
 from lensmilnor import (
+    ChernResidue,
     InvalidInputError,
     Isometry,
     Outcome,
@@ -28,6 +29,7 @@ from lensmilnor import (
     scan,
     zero_vector,
 )
+from lensmilnor import obstruct
 from lensmilnor.lattice import weyl_witness
 from verification import is_isometry_dense
 
@@ -38,28 +40,34 @@ def _zero(p, q):
     return zero_vector(expand(p, q))
 
 
-def test_reason_obstructs():
-    obstructing = {
-        Reason.CHERN_NONZERO,
-        Reason.THEOREM_B,
-        Reason.THEOREM_CI,
-        Reason.THEOREM_CII,
-        Reason.COMPUTED_NO_TRACE_MINUS_ONE,
+def test_reason_outcome():
+    # Obstructed only from a proved condition, KnownRealizable only from
+    # the registry, and a verdict's outcome is its reason's.
+    expected = {
+        Reason.CHERN_NONZERO: Outcome.OBSTRUCTED,
+        Reason.THEOREM_B: Outcome.OBSTRUCTED,
+        Reason.THEOREM_CI: Outcome.OBSTRUCTED,
+        Reason.THEOREM_CII: Outcome.OBSTRUCTED,
+        Reason.COMPUTED_NO_TRACE_MINUS_ONE: Outcome.OBSTRUCTED,
+        Reason.REGISTRY_HIRZEBRUCH: Outcome.KNOWN_REALIZABLE,
+        Reason.REGISTRY_AN: Outcome.KNOWN_REALIZABLE,
+        Reason.TRACE_WITNESS_EXISTS: Outcome.INCONCLUSIVE,
     }
-    for reason in Reason:
-        assert reason.obstructs == (reason in obstructing)
+    assert set(expected) == set(Reason)
+    for reason, outcome in expected.items():
+        assert reason.outcome is outcome
+        certificate = MINUS_RHO_3 if reason is Reason.TRACE_WITNESS_EXISTS else None
+        assert Verdict(reason, certificate).outcome is outcome
+    assert Verdict(None).outcome is Outcome.INCONCLUSIVE
+    assert Verdict(None, complete=False).outcome is Outcome.INCONCLUSIVE
 
 
 def test_verdict_invariants():
     with pytest.raises(InvalidInputError):
-        Verdict(Outcome.OBSTRUCTED, None)
+        Verdict(Reason.TRACE_WITNESS_EXISTS)
     with pytest.raises(InvalidInputError):
-        Verdict(Outcome.OBSTRUCTED, Reason.TRACE_WITNESS_EXISTS)
-    with pytest.raises(InvalidInputError):
-        Verdict(Outcome.KNOWN_REALIZABLE, Reason.THEOREM_B)
-    with pytest.raises(InvalidInputError):
-        Verdict(Outcome.INCONCLUSIVE, Reason.TRACE_WITNESS_EXISTS)
-    v = Verdict(Outcome.INCONCLUSIVE, None)
+        Verdict(Reason.TRACE_WITNESS_EXISTS, (-1, 1))
+    v = Verdict(None)
     assert v.witness is None
     assert v.trace_multiset is None
     assert v.group_order is None
@@ -214,12 +222,14 @@ def test_full_decision_capped():
     assert is_isometry_dense(lat.diag, v.witness)
 
 
-def test_full_decision_passthrough():
+def test_full_decision_passthrough(monkeypatch):
     # theorem-layer and registry verdicts survive decide_full unchanged
     v = decide_full(15, 4, _zero(15, 4))
     assert v.reason is Reason.THEOREM_B
-    v = decide_full(209, 56, _zero(209, 56), cross_validate_below=300)
+    monkeypatch.setattr(obstruct, "_CROSS_VALIDATE_MAX_P", 300)
+    v = decide_full(209, 56, _zero(209, 56))
     assert v.reason is Reason.THEOREM_CII
+    monkeypatch.undo()
     v = decide_full(180, 47, _zero(180, 47))
     assert v.reason is Reason.THEOREM_CI
     v = decide_full(8, 1, _zero(8, 1))
@@ -227,8 +237,24 @@ def test_full_decision_passthrough():
     v = decide_full(3, 2, _zero(3, 2))
     assert v.reason is Reason.REGISTRY_AN
     # cross-validation can be disabled without changing the verdict
-    v = decide_full(15, 4, _zero(15, 4), cross_validate_below=0)
+    monkeypatch.setattr(obstruct, "_CROSS_VALIDATE_MAX_P", 0)
+    v = decide_full(15, 4, _zero(15, 4))
     assert v.reason is Reason.THEOREM_B
+
+
+def test_contradicted_chern_gate_becomes_error_rows(monkeypatch):
+    # A zero residue with a nonzero rotation vector would contradict the
+    # vanishing theorem: an internal error, reported as Error rows, never
+    # a traceback or a silent Inconclusive.
+    monkeypatch.setattr(obstruct, "chern_residue", lambda rot: ChernResidue(0, 8))
+    with pytest.raises(RuntimeError, match="internal error"):
+        decide_theorem(8, 3, RotationVector(expand(8, 3), (1, -1)))
+    records = list(scan(8))
+    errors = [r for r in records if r.error is not None]
+    assert errors
+    assert all(r.error.startswith("internal error: zero residue") for r in errors)
+    assert all(r.verdict is None and not r.rotation.is_zero for r in errors)
+    assert all(r.rotation.is_zero for r in records if r.error is None)
 
 
 def test_mismatched_rotation_raises():

@@ -1,5 +1,6 @@
 """The package keeps its promise of no runtime dependencies."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,15 @@ def test_package_imports_only_the_stdlib():
     # Exact arithmetic stays in int: the start-up of every command skips
     # the rational and decimal modules.
     assert "fractions" not in out and "decimal" not in out
+
+
+def test_library_has_no_assert():
+    # python -O strips assert statements, so none may guard a verdict.
+    src = Path(lensmilnor.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -6,21 +6,83 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
 from lensmilnor import (
     CFExpansion,
+    IntersectionLattice,
     Isometry,
     ResultTooLargeError,
     RotationVector,
     as_expansion,
-    canonical_vector_key,
     cf_invariants,
     slot_values,
     structure_count,
 )
 from lensmilnor.contact import DEFAULT_STRUCTURE_CAP
+
+
+def canonical_vector_key(v: Iterable[int]) -> tuple[tuple[int, bool], ...]:
+    """Sort key realizing the canonical coordinate order 0 < -1 < 1 < -2 < 2."""
+    return tuple((abs(x), x > 0) for x in v)
+
+
+def canonical_matrix_key(iso: Isometry) -> tuple[tuple[int, bool], ...]:
+    """Row-major canonical key for whole matrices."""
+    return canonical_vector_key(iso.flatten())
+
+
+def dense_gram(diag: tuple[int, ...]) -> list[list[int]]:
+    """M as a dense matrix: the diagonal, -1 next to it, 0 elsewhere."""
+    n = len(diag)
+    return [
+        [diag[i] if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)
+    ]
+
+
+def pairing(m: list[list[int]], u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """u M v^T by a dense product, M given by dense_gram."""
+    return sum(x * sum(mij * y for mij, y in zip(row, v)) for x, row in zip(u, m))
+
+
+def norm(m: list[list[int]], v: tuple[int, ...]) -> int:
+    """v M v^T by a dense product, M given by dense_gram."""
+    return pairing(m, v, v)
+
+
+class GroupShape(Enum):
+    """Predicted shape of O_Z(M) for diagonals with every entry >= 3:
+    sign pair {+-id} when the diagonal is not palindromic, sign pair plus
+    reversal {+-id, +-rho} when it is."""
+
+    SIGNS_ONLY = "signs_only"
+    SIGNS_AND_REVERSAL = "signs_and_reversal"
+
+    @property
+    def predicted_order(self) -> int:
+        return 2 if self is GroupShape.SIGNS_ONLY else 4
+
+    def predicted_elements(self, n: int) -> tuple[Isometry, ...]:
+        """The predicted group, built directly and canonically sorted."""
+        ident = Isometry.identity(n)
+        elems = [ident, -ident]
+        if self is GroupShape.SIGNS_AND_REVERSAL:
+            rho = Isometry.reversal(n)
+            elems += [rho, -rho]
+        return tuple(sorted(elems, key=canonical_matrix_key))
+
+
+def gerstein_prediction(lattice: IntersectionLattice) -> GroupShape | None:
+    """Shape of O_Z(M) when rank >= 2 and every diagonal entry >= 3;
+    None when that hypothesis fails (2s in the diagonal allow much larger
+    groups)."""
+    if lattice.n < 2 or min(lattice.diag) < 3:
+        return None
+    if lattice.diag == lattice.diag[::-1]:
+        return GroupShape.SIGNS_AND_REVERSAL
+    return GroupShape.SIGNS_ONLY
 
 
 @dataclass(frozen=True)
@@ -131,7 +193,7 @@ def is_isometry_dense(diag: tuple[int, ...], iso: Isometry) -> bool:
     """A M A^T = M by dense integer products, with M built here from the
     diagonal (off-diagonal -1), not by the library's tridiagonal check."""
     n = len(diag)
-    m = [[diag[i] if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    m = dense_gram(diag)
     a = iso.rows
     if len(a) != n:
         return False

@@ -53,9 +53,13 @@ _WIDTHS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class OutputRecord:
-    """Serialization form of one obstruction record; field order fixed."""
+    """Serialization form of one obstruction record; field order fixed.
+
+    Not frozen: it is built and rendered once per record, and a frozen
+    dataclass pays an object.__setattr__ call per field.
+    """
 
     p: int
     q: int
@@ -81,21 +85,24 @@ class OutputRecord:
             v = rec.verdict
             verdict = v.outcome.value
             reason = v.reason.value if v.reason is not None else None
-            witness = v.witness.flatten() if v.witness is not None else None
+            iso = v.witness
+            witness = iso.flatten() if iso is not None else None
             group_order = v.group_order
             complete = v.complete
+        # Positional, in field order: keyword arguments cost about a
+        # microsecond more per record.
         return OutputRecord(
-            p=rec.p,
-            q=rec.q,
-            coeffs=tuple(rec.coeffs),
-            rotation=tuple(rec.rotation.r) if rec.rotation is not None else None,
-            tight_class=rec.tight_class.value if rec.tight_class is not None else None,
-            chern=rec.chern,
-            verdict=verdict,
-            reason=reason,
-            witness=witness,
-            group_order=group_order,
-            complete=complete,
+            rec.p,
+            rec.q,
+            tuple(rec.coeffs),
+            tuple(rec.rotation.r) if rec.rotation is not None else None,
+            rec.tight_class.value if rec.tight_class is not None else None,
+            rec.chern,
+            verdict,
+            reason,
+            witness,
+            group_order,
+            complete,
         )
 
 
@@ -129,10 +136,15 @@ def _cell(field: str, value, fmt: str) -> str:
     return str(value)
 
 
+# json.dumps builds a new encoder on every call that passes separators;
+# this one is built once and writes the same bytes.
+_json_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def render(row: dict, fmt: str) -> bytes:
     """One output line for one row of ordered field -> value pairs."""
     if fmt == "json":
-        return (json.dumps(row, separators=(",", ":")) + "\n").encode()
+        return (_json_encode(row) + "\n").encode()
     if fmt == "csv":
         return (",".join(_cell(f, v, fmt) for f, v in row.items()) + "\n").encode()
     if fmt == "table":

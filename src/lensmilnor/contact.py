@@ -8,11 +8,16 @@ that product never exceeds p.
 
 The residue sum(r_i mu_i) mod p locates the first Chern class of the
 structure in H^2, and it vanishes exactly for the zero vector.
+
+Every structure of a pair holds the one expansion object
+enumerate_structures was given, and the per-pair work (the weights mu
+and p) is kept on that object, so a residue costs one multiply-sum.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -44,10 +49,13 @@ class RotationVector:
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = as_expansion(self.coeffs)
-        r = tuple(self.r)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "r", r)
+        # Frozen fields are rewritten only when coerced: enumerate_structures
+        # already passes the shared expansion and a tuple.
+        if not isinstance(self.coeffs, CFExpansion):
+            object.__setattr__(self, "coeffs", as_expansion(self.coeffs))
+        if type(self.r) is not tuple:
+            object.__setattr__(self, "r", tuple(self.r))
+        coeffs, r = self.coeffs.coeffs, self.r
         if len(r) != len(coeffs):
             raise InvalidInputError(
                 f"rotation vector has {len(r)} slots, expansion has {len(coeffs)}"
@@ -120,15 +128,18 @@ def zero_vector(coeffs: CFExpansion | Iterable[int]) -> RotationVector:
 def chern_residue(rot: RotationVector) -> ChernResidue:
     """sum(r_i mu_i) mod p for the structure's vector."""
     inv = cf_invariants(rot.coeffs)
-    total = sum(ri * mi for ri, mi in zip(rot.r, inv.mu))
-    return ChernResidue(value=total % inv.p, p=inv.p)
+    return ChernResidue(sum(map(operator.mul, rot.r, inv.mu)) % inv.p, inv.p)
 
 
 def classify_structure(rot: RotationVector) -> TightClass:
     """Universally tight for the two extremal vectors, else virtually
-    overtwisted."""
-    top = tuple(a - 2 for a in rot.coeffs)
-    bottom = tuple(-(a - 2) for a in rot.coeffs)
-    if rot.r == top or rot.r == bottom:
+    overtwisted.
+
+    Since |r_i| <= a_i - 2, |sum r_i| <= sum(a_i - 2), with equality
+    exactly when every r_i = a_i - 2 or every r_i = -(a_i - 2): at the
+    two extremal vectors.
+    """
+    a = rot.coeffs.coeffs
+    if abs(sum(rot.r)) == sum(a) - 2 * len(a):
         return TightClass.UNIVERSALLY_TIGHT
     return TightClass.VIRTUALLY_OVERTWISTED

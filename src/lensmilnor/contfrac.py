@@ -9,6 +9,11 @@ standard plumbing description of the lens space L(p, q); the weight
 sequence mu and the signed minor sequence Delta derived from it feed the
 Chern-class computation and the intersection-lattice layer.
 
+Per-pair work lives on the expansion object: a CFExpansion computes its
+invariants and the fraction it folds back to once, on first use, and
+keeps them.  enumerate_structures shares one expansion among all the
+structures of a pair, so the census computes them once per pair.
+
 All arithmetic is exact (Python integers), so there is no overflow regime.
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError
@@ -42,6 +48,9 @@ class CFExpansion:
     """Coefficients (a1, ..., an) of a negative-regular continued fraction.
 
     Every coefficient is an integer >= 2 and the tuple is nonempty.
+    invariants and fraction are computed on first use and kept on the
+    instance; they are not fields, so equality and the hash still see
+    only the coefficients.
     """
 
     coeffs: tuple[int, ...]
@@ -67,6 +76,33 @@ class CFExpansion:
 
     def __getitem__(self, i):
         return self.coeffs[i]
+
+    @cached_property
+    def invariants(self) -> CFInvariants:
+        """Weight and signed-minor sequences; see cf_invariants."""
+        a = self.coeffs
+        n = len(a)
+
+        mu = [1]
+        if n >= 2:
+            mu.append(a[0])
+            for i in range(2, n):
+                mu.append(a[i - 1] * mu[-1] - mu[-2])
+
+        delta = [0, 1]
+        for i in range(n):
+            delta.append(-a[i] * delta[-1] - delta[-2])
+
+        det = delta[-1]
+        return CFInvariants(mu=tuple(mu), delta=tuple(delta), det=det, p=abs(det))
+
+    @cached_property
+    def fraction(self) -> LensSpace:
+        """The fraction p/q the expansion represents; see evaluate."""
+        num, den = self.coeffs[-1], 1
+        for a in reversed(self.coeffs[:-1]):
+            num, den = a * num - den, num
+        return LensSpace(num, den)
 
 
 def as_expansion(value: CFExpansion | Iterable[int]) -> CFExpansion:
@@ -120,11 +156,7 @@ def evaluate(coeffs: CFExpansion | Iterable[int]) -> LensSpace:
     Right-to-left: the tail [a_k, ..., a_n] evaluates to p'/q' and the
     next step maps it to (a_{k-1} p' - q') / p'.  Inverse of expand().
     """
-    exp = as_expansion(coeffs)
-    num, den = exp.coeffs[-1], 1
-    for a in reversed(exp.coeffs[:-1]):
-        num, den = a * num - den, num
-    return LensSpace(num, den)
+    return as_expansion(coeffs).fraction
 
 
 def cf_invariants(coeffs: CFExpansion | Iterable[int]) -> CFInvariants:
@@ -133,23 +165,11 @@ def cf_invariants(coeffs: CFExpansion | Iterable[int]) -> CFInvariants:
     Identities maintained (and asserted in the test suite):
     |Delta[n]| = p, sign(Delta[i]) = (-1)^i for 0 <= i <= n, and
     Delta[i] = (-1)^i mu_{i+1} for 0 <= i <= n - 1.
+
+    Computed once per expansion object: a CFExpansion returns its kept
+    invariants, a plain iterable gets a fresh expansion and fresh ones.
     """
-    exp = as_expansion(coeffs)
-    a = exp.coeffs
-    n = len(a)
-
-    mu = [1]
-    if n >= 2:
-        mu.append(a[0])
-        for i in range(2, n):
-            mu.append(a[i - 1] * mu[-1] - mu[-2])
-
-    delta = [0, 1]
-    for i in range(n):
-        delta.append(-a[i] * delta[-1] - delta[-2])
-
-    det = delta[-1]
-    return CFInvariants(mu=tuple(mu), delta=tuple(delta), det=det, p=abs(det))
+    return as_expansion(coeffs).invariants
 
 
 def is_palindromic(coeffs: CFExpansion | Iterable[int]) -> bool:

@@ -134,26 +134,6 @@ class Isometry:
     def __neg__(self) -> "Isometry":
         return Isometry(tuple(tuple(-x for x in r) for r in self.rows))
 
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        if self.n != other.n:
-            raise InvalidInputError("size mismatch in matrix product")
-        cols = tuple(zip(*other.rows))
-        return Isometry(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
-
-    @staticmethod
-    def identity(n: int) -> "Isometry":
-        return Isometry(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def reversal(n: int) -> "Isometry":
-        """The basis-reversing antidiagonal matrix rho."""
-        return Isometry(tuple(tuple(int(i + j == n - 1) for j in range(n)) for i in range(n)))
-
 
 # Short-vector sets kept across calls, keyed on (diagonal, norm).  A scan
 # searches each diagonal about once, so only the sets of the current
@@ -313,9 +293,6 @@ class IsometryGroup:
 
     def __iter__(self) -> Iterator[Isometry]:
         return iter(self.elements)
-
-    def traces(self) -> tuple[int, ...]:
-        return tuple(sorted(e.trace for e in self.elements))
 
 
 @dataclass(frozen=True)

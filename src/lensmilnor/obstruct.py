@@ -23,6 +23,11 @@ For a tight structure on L(p, q), the layers run in order:
 Obstructed never misfires (each layer is a proved necessary condition);
 KnownRealizable is asserted only for registry families; everything else
 is an honest Inconclusive.
+
+Per-pair work lives on the expansion object that all the structures of
+a pair share: the layers check (p, q) against the fraction it keeps
+rather than expanding p/q again, and the Chern gate reads the weights it
+keeps, so evaluating one structure repeats nothing done for its pair.
 """
 
 from __future__ import annotations
@@ -134,6 +139,11 @@ class Verdict:
         return len(traces) if traces is not None else None
 
 
+# Verdicts are immutable, so every structure the Chern gate rules out
+# shares this one.
+_CHERN_NONZERO = Verdict(Reason.CHERN_NONZERO)
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
     """A known-realizable family: expansion pattern plus the defining
@@ -155,12 +165,17 @@ REGISTRY: tuple[RegistryEntry, ...] = (
 
 
 def _checked(p: int, q: int, rot: RotationVector) -> CFExpansion:
+    """rot.coeffs, once (p, q) is known to be the fraction it folds to.
+
+    expand is a bijection onto the expansions, so comparing with the
+    expansion's kept fraction is the same test as re-expanding p/q.
+    """
     space = LensSpace(p, q)
-    coeffs = expand(space.p, space.q)
-    if rot.coeffs != coeffs:
+    coeffs = rot.coeffs
+    if coeffs.fraction != space:
         raise InvalidInputError(
-            f"rotation vector was built for {tuple(rot.coeffs)}, "
-            f"but {p}/{q} expands to {tuple(coeffs)}"
+            f"rotation vector was built for {tuple(coeffs)}, "
+            f"but {p}/{q} expands to {tuple(expand(space.p, space.q))}"
         )
     return coeffs
 
@@ -173,9 +188,8 @@ def decide_theorem(p: int, q: int, rot: RotationVector) -> Verdict:
     """
     coeffs = _checked(p, q, rot)
 
-    residue = chern_residue(rot)
-    if residue.value != 0:
-        return Verdict(Reason.CHERN_NONZERO)
+    if chern_residue(rot).value != 0:
+        return _CHERN_NONZERO
     # Residue 0 forces r = 0 (and hence every a_i even); anything else
     # here would contradict the vanishing theorem the gate encodes.
     if not rot.is_zero:
@@ -270,13 +284,7 @@ def evaluate_one(
     else:
         verdict = decide_full(p, q, rot, cap)
     return Record(
-        p=p,
-        q=q,
-        coeffs=rot.coeffs,
-        rotation=rot,
-        tight_class=classify_structure(rot),
-        chern=chern_residue(rot).value,
-        verdict=verdict,
+        p, q, rot.coeffs, rot, classify_structure(rot), chern_residue(rot).value, verdict
     )
 
 

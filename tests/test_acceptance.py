@@ -43,6 +43,7 @@ from verification import (
     canonical_vector_key,
     dense_gram,
     gerstein_prediction,
+    group_traces,
     lemma_bounds,
     norm,
     pairing,
@@ -198,7 +199,7 @@ def test_acceptance_06_two_block_lattices_have_no_trace_minus_one():
             if not group.complete:
                 failures.append(f"({x1},{x2}) capped")
                 continue
-            if -1 in group.traces():
+            if -1 in group_traces(group):
                 failures.append(f"({x1},{x2}) group has trace -1")
             # Direct search over 2x2 integer matrices [[a,b],[c,d]] with
             # entries in [-6,6] and trace -1, requiring both row-norm

@@ -22,8 +22,9 @@ import pytest
 
 import lensmilnor.obstruct as obstruct
 from lensmilnor.cli import OutputRecord, emit_record, main, run
-from lensmilnor.lattice import Isometry, TraceSearch
+from lensmilnor.lattice import TraceSearch
 from lensmilnor.obstruct import scan
+from verification import identity
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -58,7 +59,7 @@ def _contradicting_search(lattice, trace, cap):
     """A broken trace search that finds a trace -1 witness on [2,4], where
     TheoremB proves none exists."""
     if lattice.diag == (2, 4):
-        return TraceSearch(witness=Isometry.identity(2), complete=True, traces=None)
+        return TraceSearch(witness=identity(2), complete=True, traces=None)
     return _real_search(lattice, trace, cap)
 
 

@@ -21,7 +21,7 @@ from lensmilnor import (
     zero_vector,
 )
 
-from verification import check_c1_theorem, lemma_bounds
+from verification import check_c1_theorem, extremal_class, lemma_bounds
 
 
 def test_slot_values():
@@ -106,19 +106,24 @@ def test_classification():
 
 def test_universally_tight_count():
     # Exactly two extremal structures, collapsing to one when every
-    # coefficient is 2.
-    for p in range(2, 81):
+    # coefficient is 2; and on every structure with p <= 100 the one-sum
+    # test agrees with the definition by the two extremal tuples.
+    structures = 0
+    for p in range(2, 101):
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
             exp = expand(p, q)
-            ut = [
-                r
-                for r in enumerate_structures(exp)
-                if classify_structure(r) is TightClass.UNIVERSALLY_TIGHT
-            ]
+            ut = []
+            for rot in enumerate_structures(exp):
+                cls = classify_structure(rot)
+                assert cls is extremal_class(rot), (p, q, rot.r)
+                if cls is TightClass.UNIVERSALLY_TIGHT:
+                    ut.append(rot)
+                structures += 1
             expected = 1 if all(a == 2 for a in exp) else 2
             assert len(ut) == expected
+    assert structures == 44_366
 
 
 def test_residue_zero_iff_zero_vector_examples():

@@ -17,6 +17,8 @@ from lensmilnor import (
     q_squared_is_one,
 )
 
+from verification import per_pair_cache_mismatches
+
 
 def test_expand_examples():
     assert tuple(expand(12, 7)) == (2, 4, 2)
@@ -121,6 +123,24 @@ def test_invariant_identities_exhaustive():
             for i in range(n + 1):
                 sign = 1 if inv.delta_at(i) > 0 else -1
                 assert sign == (-1) ** i
+
+
+def test_kept_values_are_not_fields():
+    # invariants and fraction are kept on the instance, outside the
+    # fields: equality and the hash see only the coefficients.
+    warm = expand(41, 24)
+    assert warm.invariants.p == 41
+    assert warm.fraction == LensSpace(41, 24)
+    cold = CFExpansion((2, 4, 2, 4))
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert cf_invariants(cold) is cf_invariants(cold)
+    assert evaluate(cold) is evaluate(cold)
+
+
+def test_per_pair_caches_match_fresh_values():
+    assert per_pair_cache_mismatches(200) == []
 
 
 def test_reversal_duality():

@@ -29,7 +29,7 @@ from lensmilnor import (
     scan,
     zero_vector,
 )
-from lensmilnor import obstruct
+from lensmilnor import contact, obstruct
 from lensmilnor.lattice import weyl_witness
 from verification import is_isometry_dense
 
@@ -267,6 +267,43 @@ def test_mismatched_rotation_raises():
         evaluate_one(10, 7, rot)
     with pytest.raises(InvalidInputError):
         decide_theorem(12, 5, rot)  # 12/5 expands to [3, 2, 2]
+    # A structure from a valid expansion of the same length and the same p
+    # that belongs to another pair: 11/4 = [3, 4] is the reverse of
+    # 11/3 = [4, 3].
+    other = enumerate_structures(expand(11, 4))[0]
+    message = r"built for \(3, 4\), but 11/3 expands to \(4, 3\)"
+    with pytest.raises(InvalidInputError, match=message):
+        decide_theorem(11, 3, other)
+
+
+def test_theorem_only_records_reach_every_traced_boundary(monkeypatch):
+    # The per-layer benchmark times these module-level names; each must
+    # still be reached for every record, and no record re-expands p/q.
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("decide_theorem", "chern_residue", "classify_structure", "expand"):
+        counted(obstruct, name)
+    counted(contact, "cf_invariants")
+    records = 0
+    for p, q in [(2, 1), (7, 6), (8, 5), (12, 7), (15, 4), (41, 24), (157, 43), (199, 81)]:
+        for rot in enumerate_structures(expand(p, q)):
+            obstruct.evaluate_one(p, q, rot, theorem_only=True)
+            records += 1
+    assert records == 91
+    assert calls.get("expand", 0) == 0
+    assert calls["decide_theorem"] == records
+    assert calls["classify_structure"] == records
+    assert calls["chern_residue"] >= records
+    assert calls["cf_invariants"] >= records
 
 
 def test_evaluate_one():

@@ -13,11 +13,18 @@ from typing import Iterable
 from lensmilnor import (
     CFExpansion,
     IntersectionLattice,
+    InvalidInputError,
     Isometry,
+    IsometryGroup,
+    LensSpace,
     ResultTooLargeError,
     RotationVector,
+    TightClass,
     as_expansion,
     cf_invariants,
+    enumerate_structures,
+    evaluate_one,
+    expand,
     slot_values,
     structure_count,
 )
@@ -32,6 +39,31 @@ def canonical_vector_key(v: Iterable[int]) -> tuple[tuple[int, bool], ...]:
 def canonical_matrix_key(iso: Isometry) -> tuple[tuple[int, bool], ...]:
     """Row-major canonical key for whole matrices."""
     return canonical_vector_key(iso.flatten())
+
+
+def identity(n: int) -> Isometry:
+    """The n x n identity matrix."""
+    return Isometry(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def reversal(n: int) -> Isometry:
+    """The basis-reversing antidiagonal matrix rho."""
+    return Isometry(tuple(tuple(int(i + j == n - 1) for j in range(n)) for i in range(n)))
+
+
+def matmul(a: Isometry, b: Isometry) -> Isometry:
+    """The matrix product a b."""
+    if a.n != b.n:
+        raise InvalidInputError("size mismatch in matrix product")
+    cols = tuple(zip(*b.rows))
+    return Isometry(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows)
+    )
+
+
+def group_traces(group: IsometryGroup) -> tuple[int, ...]:
+    """The sorted trace multiset of a group's elements."""
+    return tuple(sorted(e.trace for e in group))
 
 
 def dense_gram(diag: tuple[int, ...]) -> list[list[int]]:
@@ -66,10 +98,10 @@ class GroupShape(Enum):
 
     def predicted_elements(self, n: int) -> tuple[Isometry, ...]:
         """The predicted group, built directly and canonically sorted."""
-        ident = Isometry.identity(n)
+        ident = identity(n)
         elems = [ident, -ident]
         if self is GroupShape.SIGNS_AND_REVERSAL:
-            rho = Isometry.reversal(n)
+            rho = reversal(n)
             elems += [rho, -rho]
         return tuple(sorted(elems, key=canonical_matrix_key))
 
@@ -165,6 +197,59 @@ def check_c1_theorem(coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_STR
         if (total % p == 0) != zero:
             return False
     return True
+
+
+def _folded_numerator(coeffs: tuple[int, ...]) -> int:
+    """Numerator of [a_1, ..., a_k], folded from the right."""
+    num, den = coeffs[-1], 1
+    for a in reversed(coeffs[:-1]):
+        num, den = a * num - den, num
+    return num
+
+
+def per_pair_cache_mismatches(p_max: int) -> list[str]:
+    """Every coprime (p, q) with p <= p_max whose shared expansion keeps a
+    wrong value.
+
+    For each pair the first and last structure from enumerate_structures
+    go through evaluate_one(theorem_only=True), so the expansion they
+    share has its invariants and fraction in use.  The kept invariants
+    must equal a fresh computation from the plain coefficient tuple, and
+    their weights the numerators of the prefix fractions folded from the
+    right (mu_{i+1} is the numerator of [a_1, ..., a_i]); the kept
+    fraction must be (p, q).
+    """
+    bad = []
+    for p in range(2, p_max + 1):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            exp = expand(p, q)
+            rots = enumerate_structures(exp)
+            for rot in (rots[0], rots[-1]):
+                if rot.coeffs is not exp:
+                    bad.append(f"{p}/{q}: a structure does not share the expansion")
+                evaluate_one(p, q, rot, theorem_only=True)
+            kept = cf_invariants(exp)
+            a = exp.coeffs
+            folded = (1,) + tuple(_folded_numerator(a[:i]) for i in range(1, len(a)))
+            if kept is not cf_invariants(exp):
+                bad.append(f"{p}/{q}: invariants recomputed")
+            if kept != cf_invariants(tuple(a)) or kept.mu != folded or kept.p != p:
+                bad.append(f"{p}/{q}: kept invariants {kept} differ from a fresh computation")
+            if exp.fraction != LensSpace(p, q):
+                bad.append(f"{p}/{q}: kept fraction {exp.fraction}")
+    return bad
+
+
+def extremal_class(rot: RotationVector) -> TightClass:
+    """The tight class by its definition: universally tight exactly at
+    the two extremal vectors r = +-(a_i - 2)."""
+    top = tuple(a - 2 for a in rot.coeffs)
+    bottom = tuple(-x for x in top)
+    if rot.r in (top, bottom):
+        return TightClass.UNIVERSALLY_TIGHT
+    return TightClass.VIRTUALLY_OVERTWISTED
 
 
 def det(iso: Isometry) -> int:

@@ -82,13 +82,7 @@ class OutputRecord:
             group_order = None
             complete = True
         else:
-            v = rec.verdict
-            verdict = v.outcome.value
-            reason = v.reason.value if v.reason is not None else None
-            iso = v.witness
-            witness = iso.flatten() if iso is not None else None
-            group_order = v.group_order
-            complete = v.complete
+            verdict, reason, witness, group_order, complete = rec.verdict.output_fields
         # Positional, in field order: keyword arguments cost about a
         # microsecond more per record.
         return OutputRecord(
@@ -96,7 +90,9 @@ class OutputRecord:
             rec.q,
             tuple(rec.coeffs),
             tuple(rec.rotation.r) if rec.rotation is not None else None,
-            rec.tight_class.value if rec.tight_class is not None else None,
+            # _value_ is the plain attribute behind the slower .value
+            # descriptor.
+            rec.tight_class._value_ if rec.tight_class is not None else None,
             rec.chern,
             verdict,
             reason,
@@ -136,9 +132,30 @@ def _cell(field: str, value, fmt: str) -> str:
     return str(value)
 
 
-# json.dumps builds a new encoder on every call that passes separators;
-# this one is built once and writes the same bytes.
-_json_encode = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps builds a new JSONEncoder on every call that passes
+# separators, and JSONEncoder.encode builds a new C encoder on every call.
+# This C encoder is built once, from the arguments JSONEncoder.iterencode
+# passes (ensure_ascii on), and writes the same bytes.  Rows are acyclic,
+# so it keeps no markers for the circular-reference check.
+_encoder = json.JSONEncoder(separators=(",", ":"))
+if json.encoder.c_make_encoder is not None:
+    _iterencode = json.encoder.c_make_encoder(
+        None,
+        _encoder.default,
+        json.encoder.encode_basestring_ascii,
+        _encoder.indent,
+        _encoder.key_separator,
+        _encoder.item_separator,
+        _encoder.sort_keys,
+        _encoder.skipkeys,
+        _encoder.allow_nan,
+    )
+
+    def _json_encode(row: dict) -> str:
+        return "".join(_iterencode(row, 0))
+
+else:
+    _json_encode = _encoder.encode
 
 
 def render(row: dict, fmt: str) -> bytes:

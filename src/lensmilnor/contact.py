@@ -11,7 +11,11 @@ structure in H^2, and it vanishes exactly for the zero vector.
 
 Every structure of a pair holds the one expansion object
 enumerate_structures was given, and the per-pair work (the weights mu
-and p) is kept on that object, so a residue costs one multiply-sum.
+and p) is kept on that object.  A residue is one multiply-sum over those
+weights, computed once per structure and kept on its vector, where the
+Chern gate and the structure's record both read it.  The vectors
+enumerate_structures builds from the slot values are admissible by
+construction and skip the slot check.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .contfrac import CFExpansion, as_expansion, cf_invariants
@@ -72,6 +77,17 @@ class RotationVector:
     def is_zero(self) -> bool:
         return all(ri == 0 for ri in self.r)
 
+    @cached_property
+    def residue(self) -> ChernResidue:
+        """sum(r_i mu_i) mod p; see chern_residue.
+
+        Computed on first use and kept on the instance, so the Chern gate
+        and the record of one structure share it; not a field, so
+        equality, the hash and repr still see only coeffs and r.
+        """
+        inv = cf_invariants(self.coeffs)
+        return ChernResidue(sum(map(operator.mul, self.r, inv.mu)) % inv.p, inv.p)
+
 
 @dataclass(frozen=True)
 class ChernResidue:
@@ -116,7 +132,17 @@ def enumerate_structures(
             f"{count} structures exceed cap {cap} for coefficients {exp.coeffs}"
         )
     slots = (slot_values(a) for a in exp)
-    return [RotationVector(exp, r) for r in itertools.product(*slots)]
+    return [_admissible(exp, r) for r in itertools.product(*slots)]
+
+
+def _admissible(exp: CFExpansion, r: tuple[int, ...]) -> RotationVector:
+    """RotationVector(exp, r) for an r drawn from slot_values, without
+    the slot check: such an r is admissible by construction."""
+    rot = object.__new__(RotationVector)
+    fields = rot.__dict__
+    fields["coeffs"] = exp
+    fields["r"] = r
+    return rot
 
 
 def zero_vector(coeffs: CFExpansion | Iterable[int]) -> RotationVector:
@@ -126,9 +152,9 @@ def zero_vector(coeffs: CFExpansion | Iterable[int]) -> RotationVector:
 
 
 def chern_residue(rot: RotationVector) -> ChernResidue:
-    """sum(r_i mu_i) mod p for the structure's vector."""
-    inv = cf_invariants(rot.coeffs)
-    return ChernResidue(sum(map(operator.mul, rot.r, inv.mu)) % inv.p, inv.p)
+    """sum(r_i mu_i) mod p for the structure's vector, computed once per
+    vector and kept on it."""
+    return rot.residue
 
 
 def classify_structure(rot: RotationVector) -> TightClass:

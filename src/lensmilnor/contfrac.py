@@ -35,7 +35,8 @@ class LensSpace:
     q: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        # bool is an int subclass, but True and False name no lens space.
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (self.p, self.q)):
             raise InvalidInputError("p and q must be integers")
         if not 0 < self.q < self.p:
             raise InvalidInputError(f"need 0 < q < p, got p={self.p}, q={self.q}")

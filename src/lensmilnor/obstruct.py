@@ -138,6 +138,25 @@ class Verdict:
         traces = self.trace_multiset
         return len(traces) if traces is not None else None
 
+    @cached_property
+    def output_fields(self) -> tuple[str, str | None, tuple[int, ...] | None, int | None, bool]:
+        """(verdict, reason, witness, group_order, complete) as an output
+        row writes them: names as text, the witness flattened.
+
+        Computed on first use and kept on the instance, like
+        CFExpansion.invariants, so the shared _CHERN_NONZERO verdict is
+        converted once; not a field, so equality, the hash and repr
+        still see only the fields.
+        """
+        witness = self.witness
+        return (
+            self.outcome.value,
+            self.reason.value if self.reason is not None else None,
+            witness.flatten() if witness is not None else None,
+            self.group_order,
+            self.complete,
+        )
+
 
 # Verdicts are immutable, so every structure the Chern gate rules out
 # shares this one.
@@ -168,11 +187,17 @@ def _checked(p: int, q: int, rot: RotationVector) -> CFExpansion:
     """rot.coeffs, once (p, q) is known to be the fraction it folds to.
 
     expand is a bijection onto the expansions, so comparing with the
-    expansion's kept fraction is the same test as re-expanding p/q.
+    expansion's kept fraction is the same test as re-expanding p/q.  Two
+    plain ints equal to the kept fraction pass at once: that fraction is
+    already a valid LensSpace.  Anything else is validated as LensSpace
+    (p, q), which raises its own error for bad input.
     """
-    space = LensSpace(p, q)
     coeffs = rot.coeffs
-    if coeffs.fraction != space:
+    kept = coeffs.fraction
+    if type(p) is int and type(q) is int and p == kept.p and q == kept.q:
+        return coeffs
+    space = LensSpace(p, q)
+    if kept != space:
         raise InvalidInputError(
             f"rotation vector was built for {tuple(coeffs)}, "
             f"but {p}/{q} expands to {tuple(expand(space.p, space.q))}"

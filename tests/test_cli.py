@@ -21,9 +21,10 @@ from unittest import mock
 import pytest
 
 import lensmilnor.obstruct as obstruct
-from lensmilnor.cli import OutputRecord, emit_record, main, run
+from lensmilnor.cli import OutputRecord, emit_record, main, render, run
+from lensmilnor.contfrac import expand
 from lensmilnor.lattice import TraceSearch
-from lensmilnor.obstruct import scan
+from lensmilnor.obstruct import Record, scan
 from verification import identity
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -408,6 +409,43 @@ def test_scan_json_round_trip(capfdbinary):
     assert first == expected
     obj = json.loads(first.splitlines()[0])
     assert (obj["p"], obj["q"], obj["reason"]) == (2, 1, "RegistryAn")
+
+
+_ERROR_TEXT = 'bad "p/q" \\ here\nnext line: \u00e9\u03bb\u2192\U0001f600'
+_JSON_ROWS = [
+    {"p": 2, "q": 1, "coeffs": (2,), "rotation": None, "chern": None, "complete": True},
+    {"flags": (True, False, None), "nested": ((1, (2, ())), ((-3,),)), "empty": ()},
+    {"big": 2**64 + 1, "neg": -(2**70), "row": (2**64, -(2**64) - 1, 0)},
+    {"verdict": "Error", "reason": _ERROR_TEXT, "witness": None},
+]
+
+
+def test_json_render_writes_json_dumps_bytes():
+    for row in _JSON_ROWS:
+        assert render(row, "json") == (json.dumps(row, separators=(",", ":")) + "\n").encode()
+    # An Error record's text as the census writes it.
+    rec = Record(7, 4, expand(7, 4), None, None, None, None, error=_ERROR_TEXT)
+    out = OutputRecord.from_record(rec)
+    line = emit_record(out, "json")
+    assert line == (json.dumps(vars(out), separators=(",", ":")) + "\n").encode()
+    assert json.loads(line)["reason"] == _ERROR_TEXT
+    assert line.isascii()
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+def test_json_render_builds_no_encoder_per_row(monkeypatch):
+    calls = 0
+    make = json.encoder.c_make_encoder
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return make(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counted)
+    for i in range(1000):
+        render(_JSON_ROWS[i % len(_JSON_ROWS)], "json")
+    assert calls == 0
 
 
 def test_scan_csv_single_header(capfdbinary):

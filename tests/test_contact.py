@@ -21,7 +21,12 @@ from lensmilnor import (
     zero_vector,
 )
 
-from verification import check_c1_theorem, extremal_class, lemma_bounds
+from verification import (
+    check_c1_theorem,
+    extremal_class,
+    kept_structure_mismatches,
+    lemma_bounds,
+)
 
 
 def test_slot_values():
@@ -199,3 +204,7 @@ def test_residue_zero_forces_zero_sum():
                 assert abs(total) < p
                 if total % p == 0:
                     assert total == 0
+
+
+def test_enumerated_vectors_and_kept_residues_match_fresh_ones():
+    assert kept_structure_mismatches(100) == []

@@ -6,6 +6,7 @@ decision code was trusted.
 """
 
 import math
+from dataclasses import fields as dataclass_fields
 
 import pytest
 
@@ -13,6 +14,7 @@ from lensmilnor import (
     ChernResidue,
     InvalidInputError,
     Isometry,
+    LensSpace,
     Outcome,
     Reason,
     RotationVector,
@@ -71,6 +73,33 @@ def test_verdict_invariants():
     assert v.witness is None
     assert v.trace_multiset is None
     assert v.group_order is None
+
+
+def test_verdict_output_fields_are_kept_not_fields():
+    # output_fields is computed once and kept on the instance, outside
+    # the fields: equality, the hash and repr see only the fields.
+    cases = [
+        (Verdict(Reason.CHERN_NONZERO), ("Obstructed", "ChernNonzero", None, None, True)),
+        (Verdict(Reason.REGISTRY_AN, "z^p+2xy"), ("KnownRealizable", "RegistryAn", None, None, True)),
+        (
+            Verdict(Reason.TRACE_WITNESS_EXISTS, MINUS_RHO_3),
+            ("Inconclusive", "TraceWitnessExists", MINUS_RHO_3.flatten(), None, True),
+        ),
+        (
+            Verdict(Reason.COMPUTED_NO_TRACE_MINUS_ONE, (-2, 0, 0, 2)),
+            ("Obstructed", "ComputedNoTraceMinusOne", None, 4, True),
+        ),
+        (Verdict(None, complete=False), ("Inconclusive", None, None, None, False)),
+    ]
+    assert "output_fields" not in {f.name for f in dataclass_fields(Verdict)}
+    for warm, expected in cases:
+        assert warm.output_fields == expected
+        assert warm.output_fields is warm.output_fields
+        cold = Verdict(warm.reason, warm.certificate, warm.complete)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+    assert obstruct._CHERN_NONZERO.output_fields is obstruct._CHERN_NONZERO.output_fields
 
 
 def test_chern_gate():
@@ -266,7 +295,7 @@ def test_mismatched_rotation_raises():
     with pytest.raises(InvalidInputError):
         evaluate_one(10, 7, rot)
     with pytest.raises(InvalidInputError):
-        decide_theorem(12, 5, rot)  # 12/5 expands to [3, 2, 2]
+        decide_theorem(12, 5, rot)  # 12/5 expands to [3, 2, 3]
     # A structure from a valid expansion of the same length and the same p
     # that belongs to another pair: 11/4 = [3, 4] is the reverse of
     # 11/3 = [4, 3].
@@ -274,6 +303,29 @@ def test_mismatched_rotation_raises():
     message = r"built for \(3, 4\), but 11/3 expands to \(4, 3\)"
     with pytest.raises(InvalidInputError, match=message):
         decide_theorem(11, 3, other)
+
+
+def test_checked_fast_path_rejects_what_lens_space_rejects():
+    # (p, q) equal to the expansion's kept fraction passes without a new
+    # LensSpace only as two plain ints; anything else goes through
+    # LensSpace and keeps its error text.
+    rot = _zero(2, 1)
+    assert decide_theorem(2, 1, rot).reason is Reason.REGISTRY_AN
+    for p, q in [(2, True), (True, 1), (2.0, 1), (2, 1.0)]:
+        with pytest.raises(InvalidInputError, match="^p and q must be integers$"):
+            decide_theorem(p, q, rot)
+        with pytest.raises(InvalidInputError, match="^p and q must be integers$"):
+            LensSpace(p, q)
+    with pytest.raises(InvalidInputError, match=r"^need 0 < q < p, got p=2, q=2$"):
+        decide_theorem(2, 2, rot)
+    with pytest.raises(InvalidInputError, match=r"^p and q must be coprime, got p=4, q=2$"):
+        decide_theorem(4, 2, rot)
+    rot = _zero(12, 7)
+    message = r"^rotation vector was built for \(2, 4, 2\), but 10/7 expands to \(2, 2, 4\)$"
+    with pytest.raises(InvalidInputError, match=message):
+        decide_theorem(10, 7, rot)
+    with pytest.raises(InvalidInputError, match=message):
+        evaluate_one(10, 7, rot, theorem_only=True)
 
 
 def test_theorem_only_records_reach_every_traced_boundary(monkeypatch):

@@ -12,6 +12,7 @@ from typing import Iterable
 
 from lensmilnor import (
     CFExpansion,
+    ChernResidue,
     IntersectionLattice,
     InvalidInputError,
     Isometry,
@@ -22,6 +23,7 @@ from lensmilnor import (
     TightClass,
     as_expansion,
     cf_invariants,
+    chern_residue,
     enumerate_structures,
     evaluate_one,
     expand,
@@ -239,6 +241,39 @@ def per_pair_cache_mismatches(p_max: int) -> list[str]:
                 bad.append(f"{p}/{q}: kept invariants {kept} differ from a fresh computation")
             if exp.fraction != LensSpace(p, q):
                 bad.append(f"{p}/{q}: kept fraction {exp.fraction}")
+    return bad
+
+
+def kept_structure_mismatches(p_max: int) -> list[str]:
+    """Every tight structure on L(p, q) with p <= p_max whose vector from
+    enumerate_structures, or the residue it keeps, differs from a fresh one.
+
+    enumerate_structures skips the slot check, so each of its vectors
+    must equal RotationVector(exp, r) built through full validation, in
+    equality, hash and repr, once its residue is kept.  The kept residue
+    must equal sum(r_i mu_i) mod p with mu from a fresh expansion of the
+    plain coefficient tuple.
+    """
+    bad = []
+    for p in range(2, p_max + 1):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            exp = expand(p, q)
+            mu = cf_invariants(tuple(exp.coeffs)).mu
+            for rot in enumerate_structures(exp):
+                kept = chern_residue(rot)
+                fresh = sum(ri * mi for ri, mi in zip(rot.r, mu)) % p
+                if kept != ChernResidue(fresh, p) or rot.residue is not kept:
+                    bad.append(f"{p}/{q} r={rot.r}: kept residue {kept}, fresh {fresh}")
+                full = RotationVector(exp, rot.r)
+                if (
+                    type(rot) is not RotationVector
+                    or rot != full
+                    or hash(rot) != hash(full)
+                    or repr(rot) != repr(full)
+                ):
+                    bad.append(f"{p}/{q} r={rot.r}: enumerated {rot!r}, validated {full!r}")
     return bad
 
 

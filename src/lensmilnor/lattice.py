@@ -7,14 +7,21 @@ so M is positive definite and O_Z(M) = {A : A M A^T = M} is finite.
 
 Enumeration strategy: an isometry row i must be a vector of norm M_ii,
 and its pairings with earlier rows must reproduce the Gram entries.  Rows
-are filled depth-first over the short-vector lists.  Short vectors come
-from an integer Fincke-Pohst recursion: the LDL^T factors of the
+are filled depth-first over the short vectors.  Short vectors come from
+an integer Fincke-Pohst enumeration: the LDL^T factors of the
 tridiagonal form are ratios of the leading minors of the reversed
 diagonal, so the form is a weighted sum of squares whose remainders,
 scaled by one minor, stay integers.  Coordinates are fixed from the first
 one on, each within exact bounds from math.isqrt, and tried in canonical
 order, so the vectors come out canonically sorted by construction.  No
 floats, fractions or sorting are involved.
+
+The enumeration is a generator with an explicit stack of levels, and it
+runs on demand.  Each (diagonal, norm) keeps one stream: the vectors
+produced so far with their sparse (index, value) forms, and the
+suspended generator.  The row search walks a stream by index and doubles
+it only when it runs past the end, so a search that stops early, at a
+witness or at the cap, enumerates no more than twice what it examined.
 
 Canonical order, used everywhere vectors or matrices are listed: each
 coordinate is ranked by magnitude with the negative value first
@@ -41,6 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from threading import Lock
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion
@@ -70,13 +79,9 @@ class IntersectionLattice:
 
     def mrow(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix-vector product M v, using tridiagonality."""
-        n = self.n
-        d = self.diag
         return tuple(
-            d[k] * v[k]
-            - (v[k - 1] if k > 0 else 0)
-            - (v[k + 1] if k + 1 < n else 0)
-            for k in range(n)
+            a * x - left - right
+            for a, x, left, right in zip(self.diag, v, (0, *v), (*v[1:], 0))
         )
 
     def is_isometry(self, iso: "Isometry") -> bool:
@@ -135,18 +140,18 @@ class Isometry:
         return Isometry(tuple(tuple(-x for x in r) for r in self.rows))
 
 
-# Short-vector sets kept across calls, keyed on (diagonal, norm).  A scan
-# searches each diagonal about once, so only the sets of the current
-# lattice are reused: k distinct diagonal entries need p >= k!, so 16
-# covers every lattice with p < 17!, and a long scan holds no more.
+# Short-vector streams kept across calls, keyed on (diagonal, norm).  A
+# scan searches each diagonal about once, so only the streams of the
+# current lattice are reused: k distinct diagonal entries need p >= k!, so
+# 16 covers every lattice with p < 17!, and a long scan holds no more.
 _SHORT_VECTOR_CACHE_SIZE = 16
 
 
 def _canonical_range(lo: int, hi: int) -> Iterable[int]:
     """The integers of [lo, hi] in canonical order 0, -1, 1, -2, 2, ..."""
-    if lo > 0:
+    if lo >= 0:
         return range(lo, hi + 1)
-    if hi < 0:
+    if hi <= 0:
         return range(hi, lo - 1, -1)
     out = [0]
     for k in range(1, max(hi, -lo) + 1):
@@ -157,8 +162,21 @@ def _canonical_range(lo: int, hi: int) -> Iterable[int]:
     return out
 
 
-@lru_cache(maxsize=_SHORT_VECTOR_CACHE_SIZE)
-def _short_vectors_cached(diag: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ...]:
+def _fincke_pohst(
+    diag: tuple[int, ...],
+    target: int,
+    vecs: list[tuple[int, ...]],
+    sparse: list[tuple[tuple[int, int], ...]],
+) -> Iterator[None]:
+    """Append the vectors of norm target (> 0) to vecs in canonical order,
+    and their nonzero (index, value) pairs to sparse.  Pauses whenever
+    the count of vectors reaches a power of two, i.e. each time it has
+    doubled, so a reader that stops early leaves the rest unenumerated.
+
+    Depth-first over the coordinates, with one entry per open level on
+    an explicit stack: the candidates left for x_i, and the two integers
+    that turn a candidate into the remainder passed to level i + 1.
+    """
     n = len(diag)
     # Leading minors of the reversed diagonal: m[k] = a'_k m[k-1] - m[k-2],
     # m[0] = 1.  With y = x reversed, the LDL^T form is
@@ -170,45 +188,124 @@ def _short_vectors_cached(diag: tuple[int, ...], target: int) -> tuple[tuple[int
         m.append(a * m[-1] - prev2)
         prev2 = m[-2]
 
-    results: list[tuple[int, ...]] = []
+    index = range(n)
+    pause_at = 1
     x = [0] * n
-
-    def descend(i: int, s: int) -> None:
-        # s = m[k] * R, R the norm left for the terms k..1.  s is an integer
-        # (Schur complement): the terms above k sum to min over real y_1..y_k
-        # of Q = Q_tail(y_>k) - y_{k+1}^2 (H_k^-1)_kk with (H_k^-1)_kk =
-        # m[k-1] / m[k], H_k the head block.  So the division below is exact.
-        k = n - i
-        mk, mk1 = m[k], m[k - 1]
-        c = mk1 * x[i - 1] if i else 0
-        bound = mk1 * s
-        r = math.isqrt(bound)
-        # t = mk x_i - c needs t^2 <= bound, i.e. |t| <= r.
-        if k == 1:
-            # Last coordinate: only t = +-r with r^2 = bound leaves 0.
-            if r * r != bound:
-                return
-            ends = [(c + t) // mk for t in ((-r, r) if r else (0,)) if (c + t) % mk == 0]
-            if len(ends) == 2 and -ends[0] > ends[1]:
-                ends.reverse()  # canonical: the smaller magnitude first
-            for xi in ends:
-                x[i] = xi
-                results.append(tuple(x))
-            return
-        for xi in _canonical_range(-((r - c) // mk), (c + r) // mk):
-            t = mk * xi - c
-            x[i] = xi
-            descend(i + 1, (bound - t * t) // mk)
-
+    todo: list = [None] * n
+    bounds = [0] * n
+    centres = [0] * n
+    # s = m[k] * R, R the norm left for the terms k..1.  s is an integer
+    # (Schur complement): the terms above k sum to min over real y_1..y_k
+    # of Q = Q_tail(y_>k) - y_{k+1}^2 (H_k^-1)_kk with (H_k^-1)_kk =
+    # m[k-1] / m[k], H_k the head block.  So the division below is exact.
     # A positive target keeps the zero vector out (its remainder is the
     # target itself), and the canonical order per level makes the
     # depth-first output canonically sorted.
-    if target > 0:
-        try:
-            descend(0, m[n] * target)
-        finally:
-            descend = None  # break the closure's reference to itself
-    return tuple(results)
+    i = 0
+    s = m[n] * target
+    while True:
+        k = n - i
+        mk = m[k]
+        c = m[k - 1] * x[i - 1] if i else 0
+        bound = m[k - 1] * s
+        r = math.isqrt(bound)
+        # t = mk x_i - c needs t^2 <= bound, i.e. |t| <= r.
+        if k > 1:
+            todo[i] = iter(_canonical_range(-((r - c) // mk), (c + r) // mk))
+            bounds[i] = bound
+            centres[i] = c
+        else:
+            # Last coordinate: only t = +-r with r^2 = bound leaves 0.
+            if r * r == bound:
+                ends = [(c + t) // mk for t in ((-r, r) if r else (0,)) if (c + t) % mk == 0]
+                if len(ends) == 2 and -ends[0] > ends[1]:
+                    ends.reverse()  # canonical: the smaller magnitude first
+                for xi in ends:
+                    x[i] = xi
+                    vecs.append(tuple(x))
+                    sparse.append(tuple(zip(compress(index, x), filter(None, x))))
+                    if len(vecs) == pause_at:
+                        yield
+                        pause_at *= 2
+            i -= 1
+        # Resume the deepest level that has a candidate left.
+        while i >= 0:
+            xi = next(todo[i], None)
+            if xi is not None:
+                break
+            i -= 1
+        else:
+            return
+        x[i] = xi
+        mk = m[n - i]
+        t = mk * xi - centres[i]
+        s = (bounds[i] - t * t) // mk
+        i += 1
+
+
+# The source of a stream whose enumerator died part way.
+_CUT_SHORT = object()
+
+
+class _Stream:
+    """The short vectors of one (diagonal, norm), produced on demand.
+
+    vecs holds the vectors produced so far, a canonical prefix of the
+    whole set, and sparse their nonzero (index, value) pairs, appended
+    after the vector.  Both only ever grow, so several readers, in one
+    search or in several threads, walk one stream at their own indices;
+    an index below len(sparse) is valid in both.  The suspended
+    enumerator refers to the two lists, never to the stream, so dropping
+    a stream frees it without the cyclic collector.
+    """
+
+    __slots__ = ("vecs", "sparse", "_source", "_lock")
+
+    def __init__(self, diag: tuple[int, ...], norm: int) -> None:
+        self.vecs: list[tuple[int, ...]] = []
+        self.sparse: list[tuple[tuple[int, int], ...]] = []
+        self._source = _fincke_pohst(diag, norm, self.vecs, self.sparse) if norm > 0 else None
+        self._lock = Lock()
+
+    def grow(self, held: int) -> bool:
+        """Make the stream hold more than held vectors, doubling it;
+        False when the whole set has no more."""
+        if self._source is None:
+            return len(self.sparse) > held  # complete: nothing to wait for
+        with self._lock:
+            if len(self.sparse) > held:
+                return True  # another reader grew it meanwhile
+            source = self._source
+            if source is None:
+                return False
+            if source is _CUT_SHORT:
+                raise RuntimeError("short-vector enumeration was interrupted")
+            try:
+                done = next(source, True)
+            except BaseException:
+                # A stream cut short must never pass for a complete set,
+                # neither for the readers holding it nor for later ones.
+                self._source = _CUT_SHORT
+                _short_vector_stream.cache_clear()
+                raise
+            if done:
+                self._source = None
+            return len(self.sparse) > held
+
+    def drain(self) -> list[tuple[int, ...]]:
+        while self.grow(len(self.sparse)):
+            pass
+        return self.vecs
+
+
+@lru_cache(maxsize=_SHORT_VECTOR_CACHE_SIZE)
+def _short_vector_stream(diag: tuple[int, ...], norm: int) -> _Stream:
+    return _Stream(diag, norm)
+
+
+def _short_vectors_cached(diag: tuple[int, ...], norm: int) -> tuple[tuple[int, ...], ...]:
+    """The whole short-vector set of (diagonal, norm), from its stream."""
+    return tuple(_short_vector_stream(diag, norm).drain())
 
 
 def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ...]]:
@@ -226,20 +323,25 @@ class _SearchCapped(Exception):
     """Internal: the row search exhausted its work budget."""
 
 
+def _isometry(rows: tuple[tuple[int, ...], ...]) -> Isometry:
+    """Isometry(rows) for rows that are already square and integral,
+    without re-checking them."""
+    iso = object.__new__(Isometry)
+    iso.__dict__["rows"] = rows
+    return iso
+
+
 def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometry]:
     """Yield every element of O_Z(M) in canonical order.
 
     Charges one step per candidate row examined; raises _SearchCapped
-    once more than cap steps are needed.
+    once more than cap steps are needed.  Each depth walks the stream of
+    its diagonal entry by index and extends it only on running past its
+    end, so a search that stops early enumerates only what it examined.
     """
     n = lattice.n
     diag = lattice.diag
-    base: dict[int, tuple[tuple[int, ...], ...]] = {}
-    sparse: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-    for a in sorted(set(diag)):
-        vecs = _short_vectors_cached(diag, a)
-        base[a] = vecs
-        sparse[a] = [tuple((i, xv) for i, xv in enumerate(v) if xv) for v in vecs]
+    streams = {a: _short_vector_stream(diag, a) for a in sorted(set(diag))}
 
     rows: list[tuple[int, ...]] = []
     mrows: list[tuple[int, ...]] = []
@@ -248,31 +350,42 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     def place(d: int) -> Iterator[Isometry]:
         nonlocal steps
         if d == n:
-            yield Isometry(tuple(rows))
+            yield _isometry(tuple(rows))
             return
-        for v, sv in zip(base[diag[d]], sparse[diag[d]]):
+        stream = streams[diag[d]]
+        vecs = stream.vecs
+        sparse = stream.sparse
+        # Row d must pair to -1 with row d - 1 (which kills most
+        # candidates) and to 0 with the older rows, newest first.
+        adjacent = mrows[d - 1] if d else ()
+        older = mrows[d - 2 :: -1] if d > 1 else ()
+        k = 0
+        while k < len(sparse) or stream.grow(k):
+            v = vecs[k]
+            sv = sparse[k]
+            k += 1
             steps -= 1
             if steps < 0:
                 raise _SearchCapped
-            ok = True
-            # Newest first: the adjacent row must pair to -1 (which kills
-            # most candidates), older rows to 0.
-            want = -1
-            for j in range(d - 1, -1, -1):
-                mr = mrows[j]
+            if d:
                 s = 0
                 for i, xv in sv:
-                    s += xv * mr[i]
-                if s != want:
-                    ok = False
-                    break
-                want = 0
-            if ok:
-                rows.append(v)
-                mrows.append(lattice.mrow(v))
-                yield from place(d + 1)
-                rows.pop()
-                mrows.pop()
+                    s += xv * adjacent[i]
+                if s != -1:
+                    continue
+                s = 0
+                for mr in older:
+                    for i, xv in sv:
+                        s += xv * mr[i]
+                    if s:
+                        break
+                if s:
+                    continue
+            rows.append(v)
+            mrows.append(lattice.mrow(v))
+            yield from place(d + 1)
+            rows.pop()
+            mrows.pop()
 
     try:
         yield from place(0)

@@ -308,9 +308,18 @@ def evaluate_one(
         verdict = decide_theorem(p, q, rot)
     else:
         verdict = decide_full(p, q, rot, cap)
-    return Record(
-        p, q, rot.coeffs, rot, classify_structure(rot), chern_residue(rot).value, verdict
-    )
+    # Record(...) without the frozen dataclass's eight __setattr__ calls.
+    rec = object.__new__(Record)
+    fields = rec.__dict__
+    fields["p"] = p
+    fields["q"] = q
+    fields["coeffs"] = rot.coeffs
+    fields["rotation"] = rot
+    fields["tight_class"] = classify_structure(rot)
+    fields["chern"] = chern_residue(rot).value
+    fields["verdict"] = verdict
+    fields["error"] = None
+    return rec
 
 
 def _evaluate_or_error(

@@ -25,7 +25,13 @@ from lensmilnor import (
 )
 
 from lensmilnor.contact import zero_vector
-from lensmilnor.lattice import _SHORT_VECTOR_CACHE_SIZE, _short_vectors_cached, weyl_witness
+import lensmilnor.lattice as lattice_module
+from lensmilnor.lattice import (
+    _SHORT_VECTOR_CACHE_SIZE,
+    _short_vector_stream,
+    _short_vectors_cached,
+    weyl_witness,
+)
 from lensmilnor.obstruct import decide_theorem, scan
 from verification import (
     GroupShape,
@@ -440,9 +446,9 @@ def test_predictions_match_enumeration():
 
 
 def test_short_vector_cache_is_bounded():
-    _short_vectors_cached.cache_clear()
+    _short_vector_stream.cache_clear()
     assert sum(1 for _ in scan(30)) == 1741
-    info = _short_vectors_cached.cache_info()
+    info = _short_vector_stream.cache_info()
     assert info.misses > _SHORT_VECTOR_CACHE_SIZE
     assert info.currsize <= _SHORT_VECTOR_CACHE_SIZE
     # The bound still holds the sets of a lattice with that many distinct
@@ -450,9 +456,9 @@ def test_short_vector_cache_is_bounded():
     lat = IntersectionLattice(tuple(range(3, 3 + _SHORT_VECTOR_CACHE_SIZE)))
     for a in lat.diag:
         short_vectors(lat, a)
-    hits = _short_vectors_cached.cache_info().hits
+    hits = _short_vector_stream.cache_info().hits
     assert orthogonal_group(lat).order == 2
-    assert _short_vectors_cached.cache_info().hits - hits == _SHORT_VECTOR_CACHE_SIZE
+    assert _short_vector_stream.cache_info().hits - hits == _SHORT_VECTOR_CACHE_SIZE
 
 
 def test_weyl_witness_lies_in_the_group():
@@ -504,7 +510,7 @@ def test_searches_leave_no_garbage_cycles():
     gc.collect()
     gc.disable()
     try:
-        _short_vectors_cached.cache_clear()
+        _short_vector_stream.cache_clear()
         assert len(short_vectors(IntersectionLattice((4,) + (2,) * 8), 4)) > 0
         assert find_isometry_with_trace(gram([2, 2]), -1).witness is not None
         capped = find_isometry_with_trace(gram([4, 2, 4, 2]), -1, 100)
@@ -513,5 +519,119 @@ def test_searches_leave_no_garbage_cycles():
         assert absent.complete and absent.witness is None
         assert orthogonal_group(gram([2, 2, 2])).complete
         assert gc.collect() == 0
+        # A capped search leaves its streams suspended mid-enumeration;
+        # dropping them from the cache frees them, enumerator included.
+        assert not find_isometry_with_trace(gram((6,) + (2,) * 12), -1, 500).complete
+        assert _short_vector_stream((6,) + (2,) * 12, 6)._source is not None
+        _short_vector_stream.cache_clear()
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_capped_search_enumerates_only_what_it_examined():
+    # [6, 2^18] has 548,492 vectors of norm 6; a 10,000-step search
+    # examines at most 10,000 of them, and a stream at most doubles
+    # past what its readers asked for.
+    diag = (6,) + (2,) * 18
+    _short_vector_stream.cache_clear()
+    search = find_isometry_with_trace(gram(diag), -1, 10_000)
+    assert not search.complete
+    held = len(_short_vector_stream(diag, 6).vecs)
+    assert 0 < held <= 2 * 10_000
+    # The Weyl group of the run of 2s still decides it, with no search.
+    witness = weyl_witness(gram(diag))
+    assert witness is not None and witness.trace == -1
+    assert is_isometry_dense(diag, witness)
+
+
+def test_stream_prefixes_are_canonical_prefixes():
+    # Read at every growth step, a stream holds a prefix of the rational
+    # enumeration, with its sparse form alongside, and doubles each time.
+    checked = 0
+    for diag in [(5,), (2, 2), (3, 4), (4,) + (2,) * 6, (2,) * 5 + (6,), (3, 5, 3), (6, 2, 2, 4)]:
+        for norm in range(0, 9):
+            want = short_vectors_rational(diag, norm) if norm else ()
+            stream = lattice_module._Stream(diag, norm)
+            held = 0
+            while stream.grow(held):
+                assert len(stream.vecs) == min(2 * held or 1, len(want))
+                held = len(stream.vecs)
+                assert tuple(stream.vecs) == want[:held]
+                assert stream.sparse == [
+                    tuple((i, x) for i, x in enumerate(v) if x) for v in stream.vecs
+                ]
+                checked += 1
+            assert tuple(stream.vecs) == want
+            assert not stream.grow(held)
+    assert checked == 123
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_interrupted_stream_is_never_reused(monkeypatch):
+    # An enumerator that dies part way must not leave a short stream in
+    # the cache to pass for the whole set later.
+    diag = (4, 2, 2, 2)
+    real = lattice_module._fincke_pohst
+
+    def dying(diag, target, vecs, sparse):
+        source = real(diag, target, vecs, sparse)
+        yield next(source)
+        yield next(source)
+        raise _Interrupted
+
+    _short_vector_stream.cache_clear()
+    monkeypatch.setattr(lattice_module, "_fincke_pohst", dying)
+    stream = _short_vector_stream(diag, 4)
+    with pytest.raises(_Interrupted):
+        short_vectors(IntersectionLattice(diag), 4)
+    # A reader still holding the stream cannot take it for complete.
+    assert len(stream.vecs) == 2
+    with pytest.raises(RuntimeError, match="interrupted"):
+        stream.grow(2)
+    with pytest.raises(_Interrupted):
+        orthogonal_group(IntersectionLattice(diag))
+    monkeypatch.setattr(lattice_module, "_fincke_pohst", real)
+    assert tuple(short_vectors(IntersectionLattice(diag), 4)) == short_vectors_rational(diag, 4)
+    assert orthogonal_group(IntersectionLattice(diag)).order == 48
+
+
+def test_threads_share_streams_safely():
+    # Streams are shared through the cache, so readers in several threads
+    # extend the same ones; each must still see every vector, in order.
+    import sys
+    import threading
+
+    sets = [(IntersectionLattice((4,) + (2,) * 8), 4), (IntersectionLattice((4,) + (2,) * 8), 2)]
+    group_lat = IntersectionLattice((3,) + (2,) * 5)
+    _short_vector_stream.cache_clear()
+    want = ([short_vectors(lat, a) for lat, a in sets], orthogonal_group(group_lat).elements)
+    results = []
+    errors = []
+
+    def work():
+        try:
+            vecs = [short_vectors(lat, a) for lat, a in sets]
+            results.append((vecs, orthogonal_group(group_lat).elements))
+        except Exception as exc:  # reported below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            _short_vector_stream.cache_clear()
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(results) == 20
+    assert all(r == want for r in results)

@@ -17,11 +17,13 @@ order, so the vectors come out canonically sorted by construction.  No
 floats, fractions or sorting are involved.
 
 The enumeration is a generator with an explicit stack of levels, and it
-runs on demand.  Each (diagonal, norm) keeps one stream: the vectors
-produced so far with their sparse (index, value) forms, and the
-suspended generator.  The row search walks a stream by index and doubles
-it only when it runs past the end, so a search that stops early, at a
-witness or at the cap, enumerates no more than twice what it examined.
+runs on demand.  Each search owns one stream per distinct diagonal
+entry: the vectors produced so far with their sparse (index, value)
+forms, and the suspended generator.  The row search walks a stream by
+index and doubles it only when it runs past the end, so a search that
+stops early, at a witness or at the cap, enumerates no more than twice
+what it examined.  The streams die with the search; every lattice of a
+scan is searched about once, so nothing is kept across calls.
 
 Canonical order, used everywhere vectors or matrices are listed: each
 coordinate is ranked by magnitude with the negative value first
@@ -47,9 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
-from threading import Lock
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion
@@ -135,16 +135,6 @@ class Isometry:
     def flatten(self) -> tuple[int, ...]:
         """Row-major flattening, the serialization form."""
         return tuple(x for row in self.rows for x in row)
-
-    def __neg__(self) -> "Isometry":
-        return Isometry(tuple(tuple(-x for x in r) for r in self.rows))
-
-
-# Short-vector streams kept across calls, keyed on (diagonal, norm).  A
-# scan searches each diagonal about once, so only the streams of the
-# current lattice are reused: k distinct diagonal entries need p >= k!, so
-# 16 covers every lattice with p < 17!, and a long scan holds no more.
-_SHORT_VECTOR_CACHE_SIZE = 16
 
 
 def _canonical_range(lo: int, hi: int) -> Iterable[int]:
@@ -243,69 +233,34 @@ def _fincke_pohst(
         i += 1
 
 
-# The source of a stream whose enumerator died part way.
-_CUT_SHORT = object()
-
-
 class _Stream:
     """The short vectors of one (diagonal, norm), produced on demand.
 
     vecs holds the vectors produced so far, a canonical prefix of the
     whole set, and sparse their nonzero (index, value) pairs, appended
-    after the vector.  Both only ever grow, so several readers, in one
-    search or in several threads, walk one stream at their own indices;
+    after the vector.  Both only ever grow, so the depths of one search
+    that share a diagonal entry walk one stream at their own indices;
     an index below len(sparse) is valid in both.  The suspended
     enumerator refers to the two lists, never to the stream, so dropping
     a stream frees it without the cyclic collector.
     """
 
-    __slots__ = ("vecs", "sparse", "_source", "_lock")
+    __slots__ = ("vecs", "sparse", "_source")
 
     def __init__(self, diag: tuple[int, ...], norm: int) -> None:
         self.vecs: list[tuple[int, ...]] = []
         self.sparse: list[tuple[tuple[int, int], ...]] = []
         self._source = _fincke_pohst(diag, norm, self.vecs, self.sparse) if norm > 0 else None
-        self._lock = Lock()
 
     def grow(self, held: int) -> bool:
         """Make the stream hold more than held vectors, doubling it;
         False when the whole set has no more."""
-        if self._source is None:
-            return len(self.sparse) > held  # complete: nothing to wait for
-        with self._lock:
-            if len(self.sparse) > held:
-                return True  # another reader grew it meanwhile
-            source = self._source
-            if source is None:
-                return False
-            if source is _CUT_SHORT:
-                raise RuntimeError("short-vector enumeration was interrupted")
-            try:
-                done = next(source, True)
-            except BaseException:
-                # A stream cut short must never pass for a complete set,
-                # neither for the readers holding it nor for later ones.
-                self._source = _CUT_SHORT
-                _short_vector_stream.cache_clear()
-                raise
-            if done:
-                self._source = None
-            return len(self.sparse) > held
-
-    def drain(self) -> list[tuple[int, ...]]:
-        while self.grow(len(self.sparse)):
-            pass
-        return self.vecs
-
-
-@lru_cache(maxsize=_SHORT_VECTOR_CACHE_SIZE)
-def _short_vector_stream(diag: tuple[int, ...], norm: int) -> _Stream:
-    return _Stream(diag, norm)
-
-
-def _short_vectors_cached(diag: tuple[int, ...], norm: int) -> tuple[tuple[int, ...], ...]:
-    """The whole short-vector set of (diagonal, norm), from its stream."""
-    return tuple(_short_vector_stream(diag, norm).drain())
+        # An enumerator that raises leaves a short prefix behind, but the
+        # exception also ends the one search that owns the stream, so no
+        # reader can take that prefix for the whole set.
+        if self._source is not None and next(self._source, True):
+            self._source = None  # the whole set is enumerated
+        return len(self.sparse) > held
 
 
 def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ...]]:
@@ -316,7 +271,10 @@ def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ..
         raise InvalidNormError(f"norm must be an integer, got {norm!r}")
     if norm < 0:
         raise InvalidNormError(f"norm must be nonnegative, got {norm}")
-    return list(_short_vectors_cached(lattice.diag, norm))
+    stream = _Stream(lattice.diag, norm)
+    while stream.grow(len(stream.sparse)):
+        pass
+    return stream.vecs
 
 
 class _SearchCapped(Exception):
@@ -335,13 +293,15 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     """Yield every element of O_Z(M) in canonical order.
 
     Charges one step per candidate row examined; raises _SearchCapped
-    once more than cap steps are needed.  Each depth walks the stream of
-    its diagonal entry by index and extends it only on running past its
-    end, so a search that stops early enumerates only what it examined.
+    once more than cap steps are needed.  The search owns one stream
+    per distinct diagonal entry, shared by the depths with that entry.
+    Each depth walks its stream by index and extends it only on running
+    past its end, so a search that stops early enumerates only what it
+    examined, and the streams are freed with the search.
     """
     n = lattice.n
     diag = lattice.diag
-    streams = {a: _short_vector_stream(diag, a) for a in sorted(set(diag))}
+    streams = {a: _Stream(diag, a) for a in sorted(set(diag))}
 
     rows: list[tuple[int, ...]] = []
     mrows: list[tuple[int, ...]] = []

@@ -26,12 +26,7 @@ from lensmilnor import (
 
 from lensmilnor.contact import zero_vector
 import lensmilnor.lattice as lattice_module
-from lensmilnor.lattice import (
-    _SHORT_VECTOR_CACHE_SIZE,
-    _short_vector_stream,
-    _short_vectors_cached,
-    weyl_witness,
-)
+from lensmilnor.lattice import weyl_witness
 from lensmilnor.obstruct import decide_theorem, scan
 from verification import (
     GroupShape,
@@ -44,6 +39,7 @@ from verification import (
     identity,
     is_isometry_dense,
     matmul,
+    negate,
     norm,
     pairing,
     reversal,
@@ -147,11 +143,14 @@ def test_short_vectors_against_box_scan():
 def test_short_vectors_match_rational_enumeration():
     # A dense rational elimination, independent of the integer recursion,
     # is the oracle: equal tuples, order included.
+    def enumerated(diag, target):
+        return tuple(short_vectors(IntersectionLattice(diag), target))
+
     checked = 0
     for n in range(1, 5):
         for diag in itertools.product(range(2, 7), repeat=n):
             for target in range(1, 9):
-                assert _short_vectors_cached(diag, target) == short_vectors_rational(diag, target)
+                assert enumerated(diag, target) == short_vectors_rational(diag, target)
                 checked += 1
     for p in range(2, 201):
         for q in range(1, p):
@@ -161,12 +160,12 @@ def test_short_vectors_match_rational_enumeration():
             if gerstein_prediction(IntersectionLattice(diag)) is None:
                 continue
             for a in sorted(set(diag)):
-                assert _short_vectors_cached(diag, a) == short_vectors_rational(diag, a)
+                assert enumerated(diag, a) == short_vectors_rational(diag, a)
                 checked += 1
     for k in range(1, 11):
         for diag in ((4,) + (2,) * k, (2,) * k + (4,)):
             for target in (2, 4):
-                assert _short_vectors_cached(diag, target) == short_vectors_rational(diag, target)
+                assert enumerated(diag, target) == short_vectors_rational(diag, target)
                 checked += 1
     assert checked == 8445
 
@@ -196,10 +195,10 @@ def test_isometry_container():
     # the antidiagonal has trace 1 for odd size and 0 for even size
     for n in range(1, 7):
         assert reversal(n).trace == n % 2
-    assert (-ident).trace == -3
+    assert negate(ident).trace == -3
     assert ident.flatten() == (1, 0, 0, 0, 1, 0, 0, 0, 1)
     assert det(ident) == 1
-    assert det(-ident) == -1
+    assert det(negate(ident)) == -1
     assert det(rho) == -1
     assert det(reversal(2)) == -1
     assert matmul(rho, rho) == ident
@@ -275,7 +274,7 @@ def test_group_structure():
         n = lat.n
         ident = identity(n)
         assert ident in group
-        assert -ident in group
+        assert negate(ident) in group
         # the reversal belongs exactly when the diagonal is palindromic
         assert (reversal(n) in group) == (diag == diag[::-1])
         # trace multiset is symmetric under negation
@@ -287,7 +286,7 @@ def test_group_structure():
         for a in elems:
             assert lat.is_isometry(a)
             assert det(a) in (-1, 1)
-            assert -a in group
+            assert negate(a) in group
         # closed under products, and every element has an inverse
         for a in elems:
             assert any(matmul(a, b) == ident for b in elems)
@@ -429,11 +428,11 @@ def test_gerstein_prediction():
 def test_predictions_match_enumeration():
     ident2 = identity(2)
     rho2 = reversal(2)
-    assert GroupShape.SIGNS_ONLY.predicted_elements(2) == (-ident2, ident2)
+    assert GroupShape.SIGNS_ONLY.predicted_elements(2) == (negate(ident2), ident2)
     assert GroupShape.SIGNS_AND_REVERSAL.predicted_elements(2) == (
-        -rho2,
+        negate(rho2),
         rho2,
-        -ident2,
+        negate(ident2),
         ident2,
     )
     for diag in [(4, 6), (4, 4), (3, 5, 3), (3, 5, 4), (6, 3, 4, 5)]:
@@ -445,20 +444,17 @@ def test_predictions_match_enumeration():
         assert group.order == shape.predicted_order
 
 
-def test_short_vector_cache_is_bounded():
-    _short_vector_stream.cache_clear()
+def _live_streams():
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, lattice_module._Stream))
+
+
+def test_no_stream_outlives_its_search():
+    # Each search owns its streams, so a long scan holds none between
+    # records, and a capped search frees the ones it left suspended.
     assert sum(1 for _ in scan(30)) == 1741
-    info = _short_vector_stream.cache_info()
-    assert info.misses > _SHORT_VECTOR_CACHE_SIZE
-    assert info.currsize <= _SHORT_VECTOR_CACHE_SIZE
-    # The bound still holds the sets of a lattice with that many distinct
-    # entries, so warming them before a group search saves every one.
-    lat = IntersectionLattice(tuple(range(3, 3 + _SHORT_VECTOR_CACHE_SIZE)))
-    for a in lat.diag:
-        short_vectors(lat, a)
-    hits = _short_vector_stream.cache_info().hits
-    assert orthogonal_group(lat).order == 2
-    assert _short_vector_stream.cache_info().hits - hits == _SHORT_VECTOR_CACHE_SIZE
+    assert _live_streams() == 0
+    assert not find_isometry_with_trace(gram((6,) + (2,) * 12), -1, 500).complete
+    assert _live_streams() == 0
 
 
 def test_weyl_witness_lies_in_the_group():
@@ -510,7 +506,6 @@ def test_searches_leave_no_garbage_cycles():
     gc.collect()
     gc.disable()
     try:
-        _short_vector_stream.cache_clear()
         assert len(short_vectors(IntersectionLattice((4,) + (2,) * 8), 4)) > 0
         assert find_isometry_with_trace(gram([2, 2]), -1).witness is not None
         capped = find_isometry_with_trace(gram([4, 2, 4, 2]), -1, 100)
@@ -520,24 +515,29 @@ def test_searches_leave_no_garbage_cycles():
         assert orthogonal_group(gram([2, 2, 2])).complete
         assert gc.collect() == 0
         # A capped search leaves its streams suspended mid-enumeration;
-        # dropping them from the cache frees them, enumerator included.
+        # ending the search frees them, enumerator included.
         assert not find_isometry_with_trace(gram((6,) + (2,) * 12), -1, 500).complete
-        assert _short_vector_stream((6,) + (2,) * 12, 6)._source is not None
-        _short_vector_stream.cache_clear()
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def test_capped_search_enumerates_only_what_it_examined():
+def test_capped_search_enumerates_only_what_it_examined(monkeypatch):
     # [6, 2^18] has 548,492 vectors of norm 6; a 10,000-step search
     # examines at most 10,000 of them, and a stream at most doubles
     # past what its readers asked for.
     diag = (6,) + (2,) * 18
-    _short_vector_stream.cache_clear()
+    held_by_norm = {}
+    real = lattice_module._fincke_pohst
+
+    def counted(diag, target, vecs, sparse):
+        held_by_norm[target] = vecs
+        return real(diag, target, vecs, sparse)
+
+    monkeypatch.setattr(lattice_module, "_fincke_pohst", counted)
     search = find_isometry_with_trace(gram(diag), -1, 10_000)
     assert not search.complete
-    held = len(_short_vector_stream(diag, 6).vecs)
+    held = len(held_by_norm[6])
     assert 0 < held <= 2 * 10_000
     # The Weyl group of the run of 2s still decides it, with no search.
     witness = weyl_witness(gram(diag))
@@ -572,8 +572,8 @@ class _Interrupted(Exception):
 
 
 def test_interrupted_stream_is_never_reused(monkeypatch):
-    # An enumerator that dies part way must not leave a short stream in
-    # the cache to pass for the whole set later.
+    # An enumerator that dies part way must end the call that owns its
+    # stream, so no short prefix passes for the whole set, then or later.
     diag = (4, 2, 2, 2)
     real = lattice_module._fincke_pohst
 
@@ -583,15 +583,9 @@ def test_interrupted_stream_is_never_reused(monkeypatch):
         yield next(source)
         raise _Interrupted
 
-    _short_vector_stream.cache_clear()
     monkeypatch.setattr(lattice_module, "_fincke_pohst", dying)
-    stream = _short_vector_stream(diag, 4)
     with pytest.raises(_Interrupted):
         short_vectors(IntersectionLattice(diag), 4)
-    # A reader still holding the stream cannot take it for complete.
-    assert len(stream.vecs) == 2
-    with pytest.raises(RuntimeError, match="interrupted"):
-        stream.grow(2)
     with pytest.raises(_Interrupted):
         orthogonal_group(IntersectionLattice(diag))
     monkeypatch.setattr(lattice_module, "_fincke_pohst", real)
@@ -600,14 +594,13 @@ def test_interrupted_stream_is_never_reused(monkeypatch):
 
 
 def test_threads_share_streams_safely():
-    # Streams are shared through the cache, so readers in several threads
-    # extend the same ones; each must still see every vector, in order.
+    # Searches in several threads at once, interleaved at a tiny switch
+    # interval; each must still see every vector, in order.
     import sys
     import threading
 
     sets = [(IntersectionLattice((4,) + (2,) * 8), 4), (IntersectionLattice((4,) + (2,) * 8), 2)]
     group_lat = IntersectionLattice((3,) + (2,) * 5)
-    _short_vector_stream.cache_clear()
     want = ([short_vectors(lat, a) for lat, a in sets], orthogonal_group(group_lat).elements)
     results = []
     errors = []
@@ -623,7 +616,6 @@ def test_threads_share_streams_safely():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            _short_vector_stream.cache_clear()
             threads = [threading.Thread(target=work) for _ in range(4)]
             for t in threads:
                 t.start()

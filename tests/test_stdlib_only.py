@@ -42,3 +42,17 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_keeps_no_process_global_cache():
+    # A cache at module level is state shared by every caller in the
+    # process; each lattice is searched about once, so none is needed.
+    src = Path(lensmilnor.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and (node.id if isinstance(node, ast.Name) else node.attr) in ("lru_cache", "cache")
+    ]
+    assert found == []

@@ -53,6 +53,11 @@ def reversal(n: int) -> Isometry:
     return Isometry(tuple(tuple(int(i + j == n - 1) for j in range(n)) for i in range(n)))
 
 
+def negate(iso: Isometry) -> Isometry:
+    """The matrix -iso."""
+    return Isometry(tuple(tuple(-x for x in r) for r in iso.rows))
+
+
 def matmul(a: Isometry, b: Isometry) -> Isometry:
     """The matrix product a b."""
     if a.n != b.n:
@@ -101,10 +106,10 @@ class GroupShape(Enum):
     def predicted_elements(self, n: int) -> tuple[Isometry, ...]:
         """The predicted group, built directly and canonically sorted."""
         ident = identity(n)
-        elems = [ident, -ident]
+        elems = [ident, negate(ident)]
         if self is GroupShape.SIGNS_AND_REVERSAL:
             rho = reversal(n)
-            elems += [rho, -rho]
+            elems += [rho, negate(rho)]
         return tuple(sorted(elems, key=canonical_matrix_key))
 
 

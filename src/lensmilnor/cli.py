@@ -17,7 +17,8 @@ expand is the bare expansion, and autgroup emits its json as one object
 for the whole group and starts its table with a "# diag" summary line.
 
 Exit codes: 0 ok, 1 invalid input, 2 under --strict when any result is
-capped/indeterminate or an Error row.
+capped/indeterminate or an Error row, 141 (128 + SIGPIPE) when the
+reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import IO, Sequence
@@ -428,7 +430,7 @@ def _cmd_scan(ns, ctx: _Ctx) -> bool:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute, return the exit code (0 ok, 1 bad input,
-    2 indeterminate or Error rows under --strict)."""
+    2 indeterminate or Error rows under --strict, 141 stdout closed)."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -454,6 +456,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (InvalidInputError, InvalidNormError, ResultTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so the flush of
+        # what is still buffered at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     if ctx.strict and indeterminate:
         return 2
     return 0

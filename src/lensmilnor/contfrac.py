@@ -5,9 +5,10 @@ Every fraction p/q with 0 < q < p and gcd(p, q) = 1 has a unique expansion
     p/q = a1 - 1/(a2 - 1/(... - 1/an)),   all ai >= 2,
 
 obtained by repeated ceiling division.  The coefficient list is the
-standard plumbing description of the lens space L(p, q); the weight
-sequence mu and the signed minor sequence Delta derived from it feed the
-Chern-class computation and the intersection-lattice layer.
+standard plumbing description of the lens space L(p, q).  The Chern
+residue reads the weight sequence mu and p = |Delta[n]| from the signed
+minor sequence Delta derived from it; the intersection-lattice layer
+works from the coefficients alone and computes its own minors.
 
 Per-pair work lives on the expansion object: a CFExpansion computes its
 invariants and the fraction it folds back to once, on first use, and

@@ -16,14 +16,14 @@ one on, each within exact bounds from math.isqrt, and tried in canonical
 order, so the vectors come out canonically sorted by construction.  No
 floats, fractions or sorting are involved.
 
-The enumeration is a generator with an explicit stack of levels, and it
-runs on demand.  Each search owns one stream per distinct diagonal
-entry: the vectors produced so far with their sparse (index, value)
-forms, and the suspended generator.  The row search walks a stream by
-index and doubles it only when it runs past the end, so a search that
-stops early, at a witness or at the cap, enumerates no more than twice
-what it examined.  The streams die with the search; every lattice of a
-scan is searched about once, so nothing is kept across calls.
+The enumeration is a generator with an explicit stack of levels that
+yields one vector at a time.  Each search keeps, per distinct diagonal
+entry, the vectors read so far with their sparse (index, value) forms
+and the suspended generator.  A depth that runs past the end pulls one
+more vector, so a search that stops early, at a witness or at the cap,
+enumerates exactly the vectors it read.  All of it dies with the search;
+every lattice of a scan is searched about once, so nothing is kept
+across calls.
 
 Canonical order, used everywhere vectors or matrices are listed: each
 coordinate is ranked by magnitude with the negative value first
@@ -152,16 +152,9 @@ def _canonical_range(lo: int, hi: int) -> Iterable[int]:
     return out
 
 
-def _fincke_pohst(
-    diag: tuple[int, ...],
-    target: int,
-    vecs: list[tuple[int, ...]],
-    sparse: list[tuple[tuple[int, int], ...]],
-) -> Iterator[None]:
-    """Append the vectors of norm target (> 0) to vecs in canonical order,
-    and their nonzero (index, value) pairs to sparse.  Pauses whenever
-    the count of vectors reaches a power of two, i.e. each time it has
-    doubled, so a reader that stops early leaves the rest unenumerated.
+def _fincke_pohst(diag: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
+    """Yield the vectors of norm target (> 0) in canonical order, one at
+    a time, so a reader that stops early leaves the rest unenumerated.
 
     Depth-first over the coordinates, with one entry per open level on
     an explicit stack: the candidates left for x_i, and the two integers
@@ -178,8 +171,6 @@ def _fincke_pohst(
         m.append(a * m[-1] - prev2)
         prev2 = m[-2]
 
-    index = range(n)
-    pause_at = 1
     x = [0] * n
     todo: list = [None] * n
     bounds = [0] * n
@@ -212,11 +203,7 @@ def _fincke_pohst(
                     ends.reverse()  # canonical: the smaller magnitude first
                 for xi in ends:
                     x[i] = xi
-                    vecs.append(tuple(x))
-                    sparse.append(tuple(zip(compress(index, x), filter(None, x))))
-                    if len(vecs) == pause_at:
-                        yield
-                        pause_at *= 2
+                    yield tuple(x)
             i -= 1
         # Resume the deepest level that has a candidate left.
         while i >= 0:
@@ -233,36 +220,6 @@ def _fincke_pohst(
         i += 1
 
 
-class _Stream:
-    """The short vectors of one (diagonal, norm), produced on demand.
-
-    vecs holds the vectors produced so far, a canonical prefix of the
-    whole set, and sparse their nonzero (index, value) pairs, appended
-    after the vector.  Both only ever grow, so the depths of one search
-    that share a diagonal entry walk one stream at their own indices;
-    an index below len(sparse) is valid in both.  The suspended
-    enumerator refers to the two lists, never to the stream, so dropping
-    a stream frees it without the cyclic collector.
-    """
-
-    __slots__ = ("vecs", "sparse", "_source")
-
-    def __init__(self, diag: tuple[int, ...], norm: int) -> None:
-        self.vecs: list[tuple[int, ...]] = []
-        self.sparse: list[tuple[tuple[int, int], ...]] = []
-        self._source = _fincke_pohst(diag, norm, self.vecs, self.sparse) if norm > 0 else None
-
-    def grow(self, held: int) -> bool:
-        """Make the stream hold more than held vectors, doubling it;
-        False when the whole set has no more."""
-        # An enumerator that raises leaves a short prefix behind, but the
-        # exception also ends the one search that owns the stream, so no
-        # reader can take that prefix for the whole set.
-        if self._source is not None and next(self._source, True):
-            self._source = None  # the whole set is enumerated
-        return len(self.sparse) > held
-
-
 def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ...]]:
     """All vectors v with v M v^T equal to the given norm, both signs,
     canonically ordered.  norm 0 gives the empty list (the zero vector is
@@ -271,10 +228,7 @@ def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ..
         raise InvalidNormError(f"norm must be an integer, got {norm!r}")
     if norm < 0:
         raise InvalidNormError(f"norm must be nonnegative, got {norm}")
-    stream = _Stream(lattice.diag, norm)
-    while stream.grow(len(stream.sparse)):
-        pass
-    return stream.vecs
+    return list(_fincke_pohst(lattice.diag, norm)) if norm else []
 
 
 class _SearchCapped(Exception):
@@ -293,15 +247,19 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     """Yield every element of O_Z(M) in canonical order.
 
     Charges one step per candidate row examined; raises _SearchCapped
-    once more than cap steps are needed.  The search owns one stream
-    per distinct diagonal entry, shared by the depths with that entry.
-    Each depth walks its stream by index and extends it only on running
-    past its end, so a search that stops early enumerates only what it
-    examined, and the streams are freed with the search.
+    once more than cap steps are needed.  Per distinct diagonal entry the
+    search keeps the vectors read so far, their nonzero (index, value)
+    pairs and the suspended enumerator, shared by the depths with that
+    entry.  Each depth walks the lists by index and pulls one vector on
+    running past their end, so a search that stops early enumerates only
+    what it examined, and everything is freed with the search.  An
+    enumerator that raises ends the search too, so no reader takes its
+    short prefix for the whole set.
     """
     n = lattice.n
     diag = lattice.diag
-    streams = {a: _Stream(diag, a) for a in sorted(set(diag))}
+    index = range(n)
+    streams = {a: ([], [], _fincke_pohst(diag, a)) for a in set(diag)}
 
     rows: list[tuple[int, ...]] = []
     mrows: list[tuple[int, ...]] = []
@@ -312,17 +270,23 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
         if d == n:
             yield _isometry(tuple(rows))
             return
-        stream = streams[diag[d]]
-        vecs = stream.vecs
-        sparse = stream.sparse
+        vecs, sparse, source = streams[diag[d]]
         # Row d must pair to -1 with row d - 1 (which kills most
         # candidates) and to 0 with the older rows, newest first.
         adjacent = mrows[d - 1] if d else ()
         older = mrows[d - 2 :: -1] if d > 1 else ()
         k = 0
-        while k < len(sparse) or stream.grow(k):
-            v = vecs[k]
-            sv = sparse[k]
+        while True:
+            if k < len(vecs):
+                v = vecs[k]
+                sv = sparse[k]
+            else:
+                v = next(source, None)
+                if v is None:
+                    break
+                sv = tuple(zip(compress(index, v), filter(None, v)))
+                vecs.append(v)
+                sparse.append(sv)
             k += 1
             steps -= 1
             if steps < 0:

@@ -14,6 +14,8 @@ in tests/golden/.  After a deliberate output change, rewrite them with
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -467,6 +469,23 @@ def test_scan_rot_zero_only(capfdbinary):
         obj = json.loads(line)
         assert all(r == 0 for r in obj["rotation"])
         assert all(a % 2 == 0 for a in obj["coeffs"])
+
+
+def test_closed_stdout_exits_quietly():
+    # A reader that stops after one line (like `| head -1`) gets no
+    # traceback, and the exit code says SIGPIPE: 128 + 13.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lensmilnor.cli", "scan", "--pmax", "60", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert json.loads(proc.stdout.readline())["p"] == 2
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert stderr == b""
 
 
 def test_main_uses_sys_argv(capfdbinary, monkeypatch):

@@ -7,6 +7,7 @@ filtering for groups) before this module was trusted.
 """
 
 import gc
+import inspect
 import itertools
 import math
 
@@ -167,7 +168,12 @@ def test_short_vectors_match_rational_enumeration():
             for target in (2, 4):
                 assert enumerated(diag, target) == short_vectors_rational(diag, target)
                 checked += 1
-    assert checked == 8445
+    for diag in [(5,), (2, 2), (3, 4), (4,) + (2,) * 6, (2,) * 5 + (6,), (3, 5, 3), (6, 2, 2, 4)]:
+        for target in range(0, 9):
+            want = short_vectors_rational(diag, target) if target else ()
+            assert enumerated(diag, target) == want
+            checked += 1
+    assert checked == 8445 + 7 * 9
 
 
 def test_short_vectors_of_the_long_run_of_twos():
@@ -445,12 +451,24 @@ def test_predictions_match_enumeration():
 
 
 def _live_streams():
-    return sum(1 for obj in gc.get_objects() if isinstance(obj, lattice_module._Stream))
+    # suspended short-vector enumerators, started or not
+    return sum(
+        1
+        for obj in gc.get_objects()
+        if inspect.isgenerator(obj) and obj.gi_code is lattice_module._fincke_pohst.__code__
+    )
 
 
 def test_no_stream_outlives_its_search():
-    # Each search owns its streams, so a long scan holds none between
-    # records, and a capped search frees the ones it left suspended.
+    # Each search owns its enumerators, one per distinct diagonal entry,
+    # so a long scan holds none between records, and a capped search
+    # frees the ones it left suspended.
+    search = lattice_module._iter_isometries(gram((4, 2, 2, 2)), 1000)
+    assert next(search).trace == -4  # -id, the canonically least element
+    assert _live_streams() == 2
+    search.close()
+    del search
+    assert _live_streams() == 0
     assert sum(1 for _ in scan(30)) == 1741
     assert _live_streams() == 0
     assert not find_isometry_with_trace(gram((6,) + (2,) * 12), -1, 500).complete
@@ -524,47 +542,26 @@ def test_searches_leave_no_garbage_cycles():
 
 def test_capped_search_enumerates_only_what_it_examined(monkeypatch):
     # [6, 2^18] has 548,492 vectors of norm 6; a 10,000-step search
-    # examines at most 10,000 of them, and a stream at most doubles
-    # past what its readers asked for.
+    # enumerates exactly the vectors it reads: one of norm 6 for row 0,
+    # and the norm-2 vectors its rows 1.. examine before the cap.
     diag = (6,) + (2,) * 18
-    held_by_norm = {}
+    pulled_by_norm = {}
     real = lattice_module._fincke_pohst
 
-    def counted(diag, target, vecs, sparse):
-        held_by_norm[target] = vecs
-        return real(diag, target, vecs, sparse)
+    def counted(diag, target):
+        pulled_by_norm[target] = 0
+        for v in real(diag, target):
+            pulled_by_norm[target] += 1
+            yield v
 
     monkeypatch.setattr(lattice_module, "_fincke_pohst", counted)
     search = find_isometry_with_trace(gram(diag), -1, 10_000)
     assert not search.complete
-    held = len(held_by_norm[6])
-    assert 0 < held <= 2 * 10_000
+    assert pulled_by_norm == {6: 1, 2: 342}
     # The Weyl group of the run of 2s still decides it, with no search.
     witness = weyl_witness(gram(diag))
     assert witness is not None and witness.trace == -1
     assert is_isometry_dense(diag, witness)
-
-
-def test_stream_prefixes_are_canonical_prefixes():
-    # Read at every growth step, a stream holds a prefix of the rational
-    # enumeration, with its sparse form alongside, and doubles each time.
-    checked = 0
-    for diag in [(5,), (2, 2), (3, 4), (4,) + (2,) * 6, (2,) * 5 + (6,), (3, 5, 3), (6, 2, 2, 4)]:
-        for norm in range(0, 9):
-            want = short_vectors_rational(diag, norm) if norm else ()
-            stream = lattice_module._Stream(diag, norm)
-            held = 0
-            while stream.grow(held):
-                assert len(stream.vecs) == min(2 * held or 1, len(want))
-                held = len(stream.vecs)
-                assert tuple(stream.vecs) == want[:held]
-                assert stream.sparse == [
-                    tuple((i, x) for i, x in enumerate(v) if x) for v in stream.vecs
-                ]
-                checked += 1
-            assert tuple(stream.vecs) == want
-            assert not stream.grow(held)
-    assert checked == 123
 
 
 class _Interrupted(Exception):
@@ -577,8 +574,8 @@ def test_interrupted_stream_is_never_reused(monkeypatch):
     diag = (4, 2, 2, 2)
     real = lattice_module._fincke_pohst
 
-    def dying(diag, target, vecs, sparse):
-        source = real(diag, target, vecs, sparse)
+    def dying(diag, target):
+        source = real(diag, target)
         yield next(source)
         yield next(source)
         raise _Interrupted
@@ -595,7 +592,8 @@ def test_interrupted_stream_is_never_reused(monkeypatch):
 
 def test_threads_share_streams_safely():
     # Searches in several threads at once, interleaved at a tiny switch
-    # interval; each must still see every vector, in order.
+    # interval; nothing is shared between them, and each must still see
+    # every vector, in order.
     import sys
     import threading
 

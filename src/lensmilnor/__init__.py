@@ -8,7 +8,6 @@ of the plumbing lattice to test for a trace -1 monodromy candidate.
 """
 
 from .contact import (
-    ChernResidue,
     RotationVector,
     TightClass,
     chern_residue,
@@ -26,7 +25,6 @@ from .contfrac import (
     cf_invariants,
     evaluate,
     expand,
-    is_palindromic,
     q_squared_is_one,
 )
 from .errors import InvalidInputError, InvalidNormError, ResultTooLargeError
@@ -44,8 +42,6 @@ from .obstruct import (
     Outcome,
     Reason,
     Record,
-    RegistryEntry,
-    REGISTRY,
     Verdict,
     decide_full,
     decide_theorem,
@@ -58,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CFExpansion",
     "CFInvariants",
-    "ChernResidue",
     "IntersectionLattice",
     "InvalidInputError",
     "InvalidNormError",
@@ -68,8 +63,6 @@ __all__ = [
     "Outcome",
     "Reason",
     "Record",
-    "REGISTRY",
-    "RegistryEntry",
     "ResultTooLargeError",
     "RotationVector",
     "TightClass",
@@ -87,7 +80,6 @@ __all__ = [
     "expand",
     "find_isometry_with_trace",
     "gram",
-    "is_palindromic",
     "orthogonal_group",
     "q_squared_is_one",
     "scan",

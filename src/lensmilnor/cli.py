@@ -355,7 +355,7 @@ def _cmd_structures(ns, ctx: _Ctx) -> bool:
             "coeffs": tuple(rot.coeffs),
             "rotation": rot.r,
             "tight_class": classify_structure(rot).value,
-            "chern": chern_residue(rot).value,
+            "chern": chern_residue(rot),
         }
         for rot in _rotations(ns, ctx, expand(p, q))
     )

@@ -12,8 +12,7 @@ structure in H^2, and it vanishes exactly for the zero vector.
 Every structure of a pair holds the one expansion object
 enumerate_structures was given, and the per-pair work (the weights mu
 and p) is kept on that object.  A residue is one multiply-sum over those
-weights, computed once per structure and kept on its vector, where the
-Chern gate and the structure's record both read it.  The vectors
+weights, a plain int computed on each call.  The vectors
 enumerate_structures builds from the slot values are admissible by
 construction and skip the slot check.
 """
@@ -24,7 +23,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable
 
 from .contfrac import CFExpansion, as_expansion, cf_invariants
@@ -77,29 +75,6 @@ class RotationVector:
     def is_zero(self) -> bool:
         return all(ri == 0 for ri in self.r)
 
-    @cached_property
-    def residue(self) -> ChernResidue:
-        """sum(r_i mu_i) mod p; see chern_residue.
-
-        Computed on first use and kept on the instance, so the Chern gate
-        and the record of one structure share it; not a field, so
-        equality, the hash and repr still see only coeffs and r.
-        """
-        inv = cf_invariants(self.coeffs)
-        return ChernResidue(sum(map(operator.mul, self.r, inv.mu)) % inv.p, inv.p)
-
-
-@dataclass(frozen=True)
-class ChernResidue:
-    """The value sum(r_i mu_i) mod p, normalized to 0 <= value < p."""
-
-    value: int
-    p: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
 
 def slot_values(a: int) -> tuple[int, ...]:
     """Admissible rotation numbers for one coefficient, ascending."""
@@ -151,10 +126,11 @@ def zero_vector(coeffs: CFExpansion | Iterable[int]) -> RotationVector:
     return RotationVector(exp, (0,) * len(exp))
 
 
-def chern_residue(rot: RotationVector) -> ChernResidue:
-    """sum(r_i mu_i) mod p for the structure's vector, computed once per
-    vector and kept on it."""
-    return rot.residue
+def chern_residue(rot: RotationVector) -> int:
+    """sum(r_i mu_i) mod p, normalized to 0 <= value < p, with mu and p
+    from the invariants kept on the vector's expansion."""
+    inv = cf_invariants(rot.coeffs)
+    return sum(map(operator.mul, rot.r, inv.mu)) % inv.p
 
 
 def classify_structure(rot: RotationVector) -> TightClass:

@@ -174,12 +174,6 @@ def cf_invariants(coeffs: CFExpansion | Iterable[int]) -> CFInvariants:
     return as_expansion(coeffs).invariants
 
 
-def is_palindromic(coeffs: CFExpansion | Iterable[int]) -> bool:
-    """Whether the coefficient tuple reads the same in both directions."""
-    exp = as_expansion(coeffs)
-    return exp.coeffs == exp.coeffs[::-1]
-
-
 def q_squared_is_one(p: int, q: int) -> bool:
     """Whether q^2 = 1 mod p.
 

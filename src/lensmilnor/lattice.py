@@ -255,27 +255,27 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     what it examined, and everything is freed with the search.  An
     enumerator that raises ends the search too, so no reader takes its
     short prefix for the whole set.
+
+    Depth-first over the rows in one loop, with the index of the next
+    candidate kept per depth, so the rank is not bounded by recursion.
     """
     n = lattice.n
     diag = lattice.diag
     index = range(n)
     streams = {a: ([], [], _fincke_pohst(diag, a)) for a in set(diag)}
 
-    rows: list[tuple[int, ...]] = []
-    mrows: list[tuple[int, ...]] = []
+    rows: list = [None] * n
+    mrows: list = [None] * n
+    resume = [0] * n
     steps = cap
-
-    def place(d: int) -> Iterator[Isometry]:
-        nonlocal steps
-        if d == n:
-            yield _isometry(tuple(rows))
-            return
+    d = 0
+    while d >= 0:
         vecs, sparse, source = streams[diag[d]]
         # Row d must pair to -1 with row d - 1 (which kills most
         # candidates) and to 0 with the older rows, newest first.
         adjacent = mrows[d - 1] if d else ()
         older = mrows[d - 2 :: -1] if d > 1 else ()
-        k = 0
+        k = resume[d]
         while True:
             if k < len(vecs):
                 v = vecs[k]
@@ -305,16 +305,18 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
                         break
                 if s:
                     continue
-            rows.append(v)
-            mrows.append(lattice.mrow(v))
-            yield from place(d + 1)
-            rows.pop()
-            mrows.pop()
-
-    try:
-        yield from place(0)
-    finally:
-        place = None  # break the closure's reference to itself
+            break
+        if v is None:
+            d -= 1  # depth d is exhausted: resume the one above
+            continue
+        resume[d] = k
+        rows[d] = v
+        if d + 1 == n:
+            yield _isometry(tuple(rows))
+        else:
+            mrows[d] = lattice.mrow(v)
+            d += 1
+            resume[d] = 0
 
 
 @dataclass(frozen=True)

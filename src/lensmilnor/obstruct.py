@@ -35,16 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator
+from math import gcd
+from typing import Iterator
 
 from .contact import (
-    DEFAULT_STRUCTURE_CAP,
     RotationVector,
     TightClass,
     chern_residue,
     classify_structure,
     enumerate_structures,
-    structure_count,
     zero_vector,
 )
 from .contfrac import CFExpansion, LensSpace, expand, q_squared_is_one
@@ -163,26 +162,6 @@ class Verdict:
 _CHERN_NONZERO = Verdict(Reason.CHERN_NONZERO)
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    """A known-realizable family: expansion pattern plus the defining
-    equation of a singularity whose Milnor fiber bounds it."""
-
-    reason: Reason
-    citation: str
-    matches: Callable[[CFExpansion], bool]
-
-
-REGISTRY: tuple[RegistryEntry, ...] = (
-    # All coefficients 2: q = p-1, the unique tight structure.  Listed
-    # first so that two-coefficient chains [2,2] never reach the
-    # two-coefficient obstruction case (which needs x_1 x_2 > 1).
-    RegistryEntry(Reason.REGISTRY_AN, "z^p+2xy", lambda e: all(a == 2 for a in e)),
-    # Single coefficient: q = 1, p = a_1; realized with p = 2n.
-    RegistryEntry(Reason.REGISTRY_HIRZEBRUCH, "z^2+xy^n", lambda e: len(e) == 1),
-)
-
-
 def _checked(p: int, q: int, rot: RotationVector) -> CFExpansion:
     """rot.coeffs, once (p, q) is known to be the fraction it folds to.
 
@@ -213,16 +192,23 @@ def decide_theorem(p: int, q: int, rot: RotationVector) -> Verdict:
     """
     coeffs = _checked(p, q, rot)
 
-    if chern_residue(rot).value != 0:
+    if chern_residue(rot) != 0:
         return _CHERN_NONZERO
     # Residue 0 forces r = 0 (and hence every a_i even); anything else
     # here would contradict the vanishing theorem the gate encodes.
     if not rot.is_zero:
         raise RuntimeError(f"internal error: zero residue for {p}/{q} with r = {rot.r}")
 
-    for entry in REGISTRY:
-        if entry.matches(coeffs):
-            return Verdict(entry.reason, entry.citation)
+    # Registry of known-realizable families, each cited by the defining
+    # equation of a singularity whose Milnor fiber bounds it.
+    # All coefficients 2: q = p-1, the unique tight structure.  Checked
+    # first so that two-coefficient chains [2,2] never reach the
+    # two-coefficient obstruction case (which needs x_1 x_2 > 1).
+    if all(a == 2 for a in coeffs):
+        return Verdict(Reason.REGISTRY_AN, "z^p+2xy")
+    # Single coefficient: q = 1, p = a_1; realized with p = 2n.
+    if len(coeffs) == 1:
+        return Verdict(Reason.REGISTRY_HIRZEBRUCH, "z^2+xy^n")
 
     xs = [a // 2 for a in coeffs]
     n = len(xs)
@@ -316,7 +302,7 @@ def evaluate_one(
     fields["coeffs"] = rot.coeffs
     fields["rotation"] = rot
     fields["tight_class"] = classify_structure(rot)
-    fields["chern"] = chern_residue(rot).value
+    fields["chern"] = chern_residue(rot)
     fields["verdict"] = verdict
     fields["error"] = None
     return rec
@@ -357,8 +343,6 @@ def scan(
     """
     if p_max < 2:
         raise InvalidInputError(f"p_max must be at least 2, got {p_max}")
-    from math import gcd
-
     for p in range(2, p_max + 1):
         for q in range(1, p):
             if gcd(p, q) != 1:
@@ -372,12 +356,10 @@ def scan(
                     continue
                 rots = [zero_vector(coeffs)]
             else:
-                if structure_count(coeffs) > DEFAULT_STRUCTURE_CAP:
-                    yield Record(
-                        p, q, coeffs, None, None, None, None,
-                        error=f"structure count exceeds {DEFAULT_STRUCTURE_CAP}",
-                    )
+                try:
+                    rots = enumerate_structures(coeffs)
+                except ResultTooLargeError as exc:
+                    yield Record(p, q, coeffs, None, None, None, None, error=str(exc))
                     continue
-                rots = enumerate_structures(coeffs)
             for rot in rots:
                 yield _evaluate_or_error(p, q, rot, cap=cap)

@@ -13,11 +13,10 @@ from lensmilnor import (
     cf_invariants,
     evaluate,
     expand,
-    is_palindromic,
     q_squared_is_one,
 )
 
-from verification import per_pair_cache_mismatches
+from verification import is_palindromic, per_pair_cache_mismatches
 
 
 def test_expand_examples():

@@ -418,6 +418,13 @@ def test_step_budget_alone_bounds_a_capped_search():
     assert full.order == 2 * math.factorial(7)
 
 
+def test_row_search_depth_is_not_bounded_by_recursion():
+    # One search depth per row: at rank 1200 the search must cap, not
+    # overflow the interpreter's recursion limit.
+    group = orthogonal_group(IntersectionLattice((3,) * 1200))
+    assert not group.complete
+
+
 def test_gerstein_prediction():
     assert gerstein_prediction(gram([4])) is None
     assert gerstein_prediction(gram([3])) is None

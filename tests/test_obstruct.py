@@ -11,7 +11,6 @@ from dataclasses import fields as dataclass_fields
 import pytest
 
 from lensmilnor import (
-    ChernResidue,
     InvalidInputError,
     Isometry,
     LensSpace,
@@ -275,7 +274,7 @@ def test_contradicted_chern_gate_becomes_error_rows(monkeypatch):
     # A zero residue with a nonzero rotation vector would contradict the
     # vanishing theorem: an internal error, reported as Error rows, never
     # a traceback or a silent Inconclusive.
-    monkeypatch.setattr(obstruct, "chern_residue", lambda rot: ChernResidue(0, 8))
+    monkeypatch.setattr(obstruct, "chern_residue", lambda rot: 0)
     with pytest.raises(RuntimeError, match="internal error"):
         decide_theorem(8, 3, RotationVector(expand(8, 3), (1, -1)))
     records = list(scan(8))
@@ -417,6 +416,21 @@ def test_scan_first_three():
     assert records[1].verdict.reason is Reason.CHERN_NONZERO
     assert records[3].verdict.reason is Reason.REGISTRY_AN
     assert all(r.error is None for r in records)
+
+
+def test_scan_turns_a_structure_cap_into_error_rows(monkeypatch):
+    # Pairs with more structures than the cap become one Error row each,
+    # and the scan goes on with the next pair.
+    real = obstruct.enumerate_structures
+    monkeypatch.setattr(obstruct, "enumerate_structures", lambda coeffs: real(coeffs, cap=2))
+    records = list(scan(5))
+    errors = [r for r in records if r.error is not None]
+    assert [(r.p, r.q) for r in errors] == [(4, 1), (5, 1)]
+    assert errors[0].error == "3 structures exceed cap 2 for coefficients (4,)"
+    assert all(r.rotation is None and r.verdict is None for r in errors)
+    assert [(r.p, r.q) for r in records if r.error is None] == [
+        (2, 1), (3, 1), (3, 1), (3, 2), (4, 3), (5, 2), (5, 2), (5, 3), (5, 3), (5, 4)
+    ]
 
 
 def test_scan_filters():

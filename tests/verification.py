@@ -12,7 +12,6 @@ from typing import Iterable
 
 from lensmilnor import (
     CFExpansion,
-    ChernResidue,
     IntersectionLattice,
     InvalidInputError,
     Isometry,
@@ -206,6 +205,12 @@ def check_c1_theorem(coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_STR
     return True
 
 
+def is_palindromic(coeffs: CFExpansion | Iterable[int]) -> bool:
+    """Whether the coefficient tuple reads the same in both directions."""
+    exp = as_expansion(coeffs)
+    return exp.coeffs == exp.coeffs[::-1]
+
+
 def _folded_numerator(coeffs: tuple[int, ...]) -> int:
     """Numerator of [a_1, ..., a_k], folded from the right."""
     num, den = coeffs[-1], 1
@@ -249,15 +254,15 @@ def per_pair_cache_mismatches(p_max: int) -> list[str]:
     return bad
 
 
-def kept_structure_mismatches(p_max: int) -> list[str]:
+def enumerated_structure_mismatches(p_max: int) -> list[str]:
     """Every tight structure on L(p, q) with p <= p_max whose vector from
-    enumerate_structures, or the residue it keeps, differs from a fresh one.
+    enumerate_structures, or its residue, differs from a fresh one.
 
     enumerate_structures skips the slot check, so each of its vectors
     must equal RotationVector(exp, r) built through full validation, in
-    equality, hash and repr, once its residue is kept.  The kept residue
-    must equal sum(r_i mu_i) mod p with mu from a fresh expansion of the
-    plain coefficient tuple.
+    equality, hash and repr, once its residue has been read.  The residue
+    must be the int sum(r_i mu_i) mod p with mu from a fresh expansion of
+    the plain coefficient tuple.
     """
     bad = []
     for p in range(2, p_max + 1):
@@ -267,10 +272,10 @@ def kept_structure_mismatches(p_max: int) -> list[str]:
             exp = expand(p, q)
             mu = cf_invariants(tuple(exp.coeffs)).mu
             for rot in enumerate_structures(exp):
-                kept = chern_residue(rot)
+                residue = chern_residue(rot)
                 fresh = sum(ri * mi for ri, mi in zip(rot.r, mu)) % p
-                if kept != ChernResidue(fresh, p) or rot.residue is not kept:
-                    bad.append(f"{p}/{q} r={rot.r}: kept residue {kept}, fresh {fresh}")
+                if type(residue) is not int or residue != fresh:
+                    bad.append(f"{p}/{q} r={rot.r}: residue {residue!r}, fresh {fresh}")
                 full = RotationVector(exp, rot.r)
                 if (
                     type(rot) is not RotationVector

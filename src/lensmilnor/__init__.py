@@ -27,7 +27,7 @@ from .contfrac import (
     expand,
     q_squared_is_one,
 )
-from .errors import InvalidInputError, InvalidNormError, ResultTooLargeError
+from .errors import InvalidInputError, ResultTooLargeError
 from .lattice import (
     IntersectionLattice,
     Isometry,
@@ -56,7 +56,6 @@ __all__ = [
     "CFInvariants",
     "IntersectionLattice",
     "InvalidInputError",
-    "InvalidNormError",
     "Isometry",
     "IsometryGroup",
     "LensSpace",

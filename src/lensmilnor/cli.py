@@ -33,7 +33,7 @@ from typing import IO, Sequence
 
 from .contact import RotationVector, chern_residue, classify_structure, enumerate_structures
 from .contfrac import LensSpace, expand
-from .errors import InvalidInputError, InvalidNormError, ResultTooLargeError
+from .errors import InvalidInputError, ResultTooLargeError
 from .lattice import DEFAULT_GROUP_CAP, IntersectionLattice, orthogonal_group
 from .obstruct import Record, _evaluate_or_error, scan
 
@@ -453,7 +453,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         indeterminate = ns.func(ns, ctx)
         ctx.out.flush()
-    except (InvalidInputError, InvalidNormError, ResultTooLargeError) as exc:
+    except (InvalidInputError, ResultTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

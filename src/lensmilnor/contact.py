@@ -52,8 +52,8 @@ class RotationVector:
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Frozen fields are rewritten only when coerced: enumerate_structures
-        # already passes the shared expansion and a tuple.
+        # Frozen fields are rewritten only when coerced: zero_vector
+        # already passes an expansion and a tuple.
         if not isinstance(self.coeffs, CFExpansion):
             object.__setattr__(self, "coeffs", as_expansion(self.coeffs))
         if type(self.r) is not tuple:
@@ -64,7 +64,7 @@ class RotationVector:
                 f"rotation vector has {len(r)} slots, expansion has {len(coeffs)}"
             )
         for a, ri in zip(coeffs, r):
-            if not isinstance(ri, int):
+            if not isinstance(ri, int) or isinstance(ri, bool):
                 raise InvalidInputError(f"rotation numbers must be integers, got {ri!r}")
             if abs(ri) > a - 2 or (ri - a) % 2 != 0:
                 raise InvalidInputError(

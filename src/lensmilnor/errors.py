@@ -2,11 +2,8 @@
 
 
 class InvalidInputError(ValueError):
-    """A (p, q) pair, coefficient list, or rotation vector violates its domain."""
-
-
-class InvalidNormError(ValueError):
-    """A short-vector query asked for a negative norm."""
+    """A (p, q) pair, coefficient list, rotation vector, matrix or norm
+    violates its domain."""
 
 
 class ResultTooLargeError(RuntimeError):

@@ -18,12 +18,14 @@ floats, fractions or sorting are involved.
 
 The enumeration is a generator with an explicit stack of levels that
 yields one vector at a time.  Each search keeps, per distinct diagonal
-entry, the vectors read so far with their sparse (index, value) forms
-and the suspended generator.  A depth that runs past the end pulls one
-more vector, so a search that stops early, at a witness or at the cap,
-enumerates exactly the vectors it read.  All of it dies with the search;
-every lattice of a scan is searched about once, so nothing is kept
-across calls.
+entry, the vectors read so far and the suspended generator.  A depth
+that runs past the end pulls one more vector, so a search that stops
+early, at a witness or at the cap, enumerates exactly the vectors it
+read.  Each vector is kept once, as read, and a candidate is paired with
+the placed rows through their images M v, kept as nonzero (index, value)
+pairs: within a run of 2s, M (e_i + ... + e_j) telescopes to at most
+four nonzeros.  All of it dies with the search; every lattice of a scan
+is searched about once, so nothing is kept across calls.
 
 Canonical order, used everywhere vectors or matrices are listed: each
 coordinate is ranked by magnitude with the negative value first
@@ -49,11 +51,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion
-from .errors import InvalidInputError, InvalidNormError
+from .errors import InvalidInputError
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -77,12 +78,13 @@ class IntersectionLattice:
     def n(self) -> int:
         return len(self.diag)
 
-    def mrow(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """Matrix-vector product M v, using tridiagonality."""
-        return tuple(
-            a * x - left - right
-            for a, x, left, right in zip(self.diag, v, (0, *v), (*v[1:], 0))
-        )
+    def mrow(self, v: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        """Matrix-vector product M v as its nonzero (index, value) pairs,
+        using tridiagonality; v . M w is then sum(v[i] * y for i, y in
+        mrow(w))."""
+        terms = zip(self.diag, v, (0, *v), (*v[1:], 0))
+        image = (a * x - left - right for a, x, left, right in terms)
+        return tuple((i, y) for i, y in enumerate(image) if y)
 
     def is_isometry(self, iso: "Isometry") -> bool:
         """Exact check of A M A^T = M."""
@@ -92,7 +94,7 @@ class IntersectionLattice:
         for i, ri in enumerate(iso.rows):
             for j in range(i + 1):
                 want = self.diag[i] if j == i else -1 if j == i - 1 else 0
-                if sum(x * y for x, y in zip(ri, mrows[j])) != want:
+                if sum(ri[k] * y for k, y in mrows[j]) != want:
                     return False
         return True
 
@@ -121,7 +123,7 @@ class Isometry:
             raise InvalidInputError("isometry must be a nonempty square matrix")
         for r in rows:
             for x in r:
-                if not isinstance(x, int):
+                if not isinstance(x, int) or isinstance(x, bool):
                     raise InvalidInputError(f"matrix entries must be integers, got {x!r}")
 
     @property
@@ -224,10 +226,10 @@ def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ..
     """All vectors v with v M v^T equal to the given norm, both signs,
     canonically ordered.  norm 0 gives the empty list (the zero vector is
     excluded); negative norms are rejected."""
-    if not isinstance(norm, int):
-        raise InvalidNormError(f"norm must be an integer, got {norm!r}")
+    if not isinstance(norm, int) or isinstance(norm, bool):
+        raise InvalidInputError(f"norm must be an integer, got {norm!r}")
     if norm < 0:
-        raise InvalidNormError(f"norm must be nonnegative, got {norm}")
+        raise InvalidInputError(f"norm must be nonnegative, got {norm}")
     return list(_fincke_pohst(lattice.diag, norm)) if norm else []
 
 
@@ -248,21 +250,21 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
 
     Charges one step per candidate row examined; raises _SearchCapped
     once more than cap steps are needed.  Per distinct diagonal entry the
-    search keeps the vectors read so far, their nonzero (index, value)
-    pairs and the suspended enumerator, shared by the depths with that
-    entry.  Each depth walks the lists by index and pulls one vector on
-    running past their end, so a search that stops early enumerates only
-    what it examined, and everything is freed with the search.  An
-    enumerator that raises ends the search too, so no reader takes its
-    short prefix for the whole set.
+    search keeps the vectors read so far and the suspended enumerator,
+    shared by the depths with that entry.  Each depth walks the list by
+    index and pulls one vector on running past its end, so a search that
+    stops early enumerates only what it examined, and everything is freed
+    with the search.  An enumerator that raises ends the search too, so
+    no reader takes its short prefix for the whole set.  A candidate is
+    paired with each placed row through the row's sparse image M v,
+    built once when the row is placed.
 
     Depth-first over the rows in one loop, with the index of the next
     candidate kept per depth, so the rank is not bounded by recursion.
     """
     n = lattice.n
     diag = lattice.diag
-    index = range(n)
-    streams = {a: ([], [], _fincke_pohst(diag, a)) for a in set(diag)}
+    streams = {a: ([], _fincke_pohst(diag, a)) for a in set(diag)}
 
     rows: list = [None] * n
     mrows: list = [None] * n
@@ -270,7 +272,7 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     steps = cap
     d = 0
     while d >= 0:
-        vecs, sparse, source = streams[diag[d]]
+        vecs, source = streams[diag[d]]
         # Row d must pair to -1 with row d - 1 (which kills most
         # candidates) and to 0 with the older rows, newest first.
         adjacent = mrows[d - 1] if d else ()
@@ -279,28 +281,25 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
         while True:
             if k < len(vecs):
                 v = vecs[k]
-                sv = sparse[k]
             else:
                 v = next(source, None)
                 if v is None:
                     break
-                sv = tuple(zip(compress(index, v), filter(None, v)))
                 vecs.append(v)
-                sparse.append(sv)
             k += 1
             steps -= 1
             if steps < 0:
                 raise _SearchCapped
             if d:
                 s = 0
-                for i, xv in sv:
-                    s += xv * adjacent[i]
+                for i, y in adjacent:
+                    s += v[i] * y
                 if s != -1:
                     continue
                 s = 0
                 for mr in older:
-                    for i, xv in sv:
-                        s += xv * mr[i]
+                    for i, y in mr:
+                        s += v[i] * y
                     if s:
                         break
                 if s:
@@ -385,9 +384,10 @@ def find_isometry_with_trace(
     seen: list[int] = []
     try:
         for iso in _iter_isometries(lattice, cap):
-            if iso.trace == trace:
+            t = iso.trace
+            if t == trace:
                 return TraceSearch(witness=iso, complete=True, traces=None)
-            seen.append(iso.trace)
+            seen.append(t)
     except _SearchCapped:
         return TraceSearch(witness=None, complete=False, traces=None)
     return TraceSearch(witness=None, complete=True, traces=tuple(sorted(seen)))

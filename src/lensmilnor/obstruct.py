@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .contact import (
     RotationVector,
@@ -79,9 +79,7 @@ class Reason(Enum):
     REGISTRY_AN = "RegistryAn"
     TRACE_WITNESS_EXISTS = "TraceWitnessExists"
 
-    # Cached on the member: each verdict reads it, and enum attribute
-    # lookups are slow on CPython 3.11.
-    @cached_property
+    @property
     def outcome(self) -> Outcome:
         """The registry reasons realize, a trace witness leaves the case
         open, and every other reason is a proved obstruction."""
@@ -263,12 +261,12 @@ def decide_full(p: int, q: int, rot: RotationVector, cap: int = DEFAULT_GROUP_CA
     return Verdict(None, complete=False)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One scan row: a structure on L(p, q) and its verdict.
 
     error is set (and the later fields may be None) when evaluating the
-    entry failed; the stream itself never aborts.
+    entry failed; the stream itself never aborts.  A tuple, so it also
+    compares equal to the plain tuple of its values.
     """
 
     p: int
@@ -294,18 +292,7 @@ def evaluate_one(
         verdict = decide_theorem(p, q, rot)
     else:
         verdict = decide_full(p, q, rot, cap)
-    # Record(...) without the frozen dataclass's eight __setattr__ calls.
-    rec = object.__new__(Record)
-    fields = rec.__dict__
-    fields["p"] = p
-    fields["q"] = q
-    fields["coeffs"] = rot.coeffs
-    fields["rotation"] = rot
-    fields["tight_class"] = classify_structure(rot)
-    fields["chern"] = chern_residue(rot)
-    fields["verdict"] = verdict
-    fields["error"] = None
-    return rec
+    return Record(p, q, rot.coeffs, rot, classify_structure(rot), chern_residue(rot), verdict)
 
 
 def _evaluate_or_error(

@@ -11,6 +11,7 @@ wall-clock budget.  Everything here is single-process and sequential, so
 determinism checks reduce to run-to-run byte equality.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -404,10 +405,13 @@ def test_acceptance_10_scan_output_is_deterministic(capfdbinary):
     elapsed = time.perf_counter() - start
     total = time.perf_counter() - _SUITE_START
     capped = first.count(b'"complete":false')
+    # The frozen scan --pmax 50 bytes: 6,935 rows, 119 of them witnesses.
+    digest = hashlib.sha256(first).hexdigest()
     ok = (
         code_first == 0
         and code_second == 0
         and first == second
+        and digest == "bd01d04e99bdced2312f231a4485b4df021181243f55d610aea4084ee7256506"
         and len(first.splitlines()) > 1000
         and capped == 0
         and total < 300.0
@@ -416,5 +420,6 @@ def test_acceptance_10_scan_output_is_deterministic(capfdbinary):
         "scan-output-is-deterministic",
         ok,
         f"{len(first.splitlines())} records twice, byte-equal={first == second}, "
+        f"sha256 {digest[:8]}, "
         f"{capped} capped, {elapsed:.2f}s; acceptance total {total:.2f}s < 300s",
     )

@@ -80,6 +80,12 @@ def test_rotation_vector_validation():
     assert zero_vector([2, 4, 2]).is_zero
 
 
+def test_rotation_vector_rejects_bool_slots():
+    # (True, 5) would otherwise equal (1, 5) and render as [true,5].
+    with pytest.raises(InvalidInputError):
+        RotationVector(expand(34, 7), (True, 5))
+
+
 def test_enumeration_cap():
     with pytest.raises(ResultTooLargeError):
         enumerate_structures([12], cap=5)

@@ -16,7 +16,6 @@ import pytest
 from lensmilnor import (
     IntersectionLattice,
     InvalidInputError,
-    InvalidNormError,
     Isometry,
     expand,
     find_isometry_with_trace,
@@ -108,12 +107,18 @@ def test_short_vectors_norm_edge_cases():
     lat = gram([2, 4])
     assert short_vectors(lat, 0) == []
     assert short_vectors(lat, 1) == []
-    with pytest.raises(InvalidNormError):
+    with pytest.raises(InvalidInputError):
         short_vectors(lat, -2)
-    with pytest.raises(InvalidNormError):
+    with pytest.raises(InvalidInputError):
         short_vectors(lat, 2.0)
     # repeated calls hand back equal, independently usable lists
     assert short_vectors(lat, 2) == short_vectors(lat, 2)
+
+
+def test_short_vectors_reject_a_bool_norm():
+    # True is an int subclass, but not a norm: it must not pass as 1.
+    with pytest.raises(InvalidInputError):
+        short_vectors(gram([2, 2]), True)
 
 
 def test_short_vectors_against_box_scan():
@@ -217,12 +222,54 @@ def test_isometry_container():
         matmul(a, ident)
 
 
+def test_isometry_rejects_bool_entries():
+    with pytest.raises(InvalidInputError):
+        Isometry(((True,),))
+
+
 def test_is_isometry():
     lat = gram([2, 4, 2])
     assert lat.is_isometry(identity(3))
     assert lat.is_isometry(MINUS_RHO_3)
     assert not lat.is_isometry(Isometry(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
     assert not lat.is_isometry(identity(2))
+
+
+def test_mrow_is_the_sparse_dense_product():
+    # mrow(v) lists exactly the nonzero entries of M v, in index order.
+    diags = [(2,), (5,), (2, 2), (3, 2), (2, 2, 2), (2, 2, 2, 2), (3, 2, 2, 4), (2, 5, 2, 2)]
+    for diag in diags:
+        lat = IntersectionLattice(diag)
+        m = dense_gram(diag)
+        for v in itertools.product(range(-2, 3), repeat=len(diag)):
+            image = [sum(mij * x for mij, x in zip(row, v)) for row in m]
+            assert lat.mrow(v) == tuple((i, y) for i, y in enumerate(image) if y)
+    # Within a run of 2s, M (e_i + ... + e_j) telescopes to at most four
+    # nonzeros, which is what keeps the row search's pairings short.
+    lat = IntersectionLattice((3,) + (2,) * 8 + (3,))
+    for i in range(1, 9):
+        for j in range(i, 9):
+            v = tuple(int(i <= k <= j) for k in range(10))
+            assert len(lat.mrow(v)) <= 4
+
+
+def test_is_isometry_matches_the_dense_check():
+    # Group elements pass both checks; changing one entry by +-1 gets the
+    # same answer from both.
+    rejected = 0
+    for diag in [(2, 2), (2, 4, 2), (3, 2, 2), (2, 2, 2), (4, 4, 4), (2, 3, 2, 3)]:
+        lat = IntersectionLattice(diag)
+        n = len(diag)
+        for g in orthogonal_group(lat):
+            assert lat.is_isometry(g) and is_isometry_dense(diag, g)
+            for i, j in itertools.product(range(n), repeat=2):
+                for delta in (-1, 1):
+                    rows = [list(r) for r in g.rows]
+                    rows[i][j] += delta
+                    bent = Isometry(rows)
+                    assert lat.is_isometry(bent) == is_isometry_dense(diag, bent)
+                    rejected += not is_isometry_dense(diag, bent)
+    assert rejected > 1000
 
 
 GROUP_ORDERS = {

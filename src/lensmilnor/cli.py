@@ -90,8 +90,10 @@ class OutputRecord:
         return OutputRecord(
             rec.p,
             rec.q,
-            tuple(rec.coeffs),
-            tuple(rec.rotation.r) if rec.rotation is not None else None,
+            # The expansion's and the vector's own tuples: tuple() over
+            # a CFExpansion runs its Python-level __iter__.
+            rec.coeffs.coeffs,
+            rec.rotation.r if rec.rotation is not None else None,
             # _value_ is the plain attribute behind the slower .value
             # descriptor.
             rec.tight_class._value_ if rec.tight_class is not None else None,
@@ -325,7 +327,7 @@ def _emit(ctx: _Ctx, fields: Sequence[str], rows) -> bool:
     return flagged
 
 
-def _rotations(ns, ctx: _Ctx, exp) -> list[RotationVector]:
+def _rotations(ns, ctx: _Ctx, exp) -> Sequence[RotationVector]:
     """The structure named by --rot, or every structure when it is absent."""
     if getattr(ns, "rot", None) is not None:
         return [RotationVector(exp, _parse_int_list(ns.rot, "--rot"))]
@@ -348,16 +350,17 @@ _STRUCT_FIELDS = ("p", "q", "coeffs", "rotation", "tight_class", "chern")
 def _cmd_structures(ns, ctx: _Ctx) -> bool:
     """structures, and chern for the one structure given by --rot."""
     p, q = _parse_pq(ns.pq)
+    exp = expand(p, q)
     rows = (
         {
             "p": p,
             "q": q,
-            "coeffs": tuple(rot.coeffs),
+            "coeffs": exp.coeffs,
             "rotation": rot.r,
             "tight_class": classify_structure(rot).value,
             "chern": chern_residue(rot),
         }
-        for rot in _rotations(ns, ctx, expand(p, q))
+        for rot in _rotations(ns, ctx, exp)
     )
     return _emit(ctx, _STRUCT_FIELDS, rows)
 

@@ -14,6 +14,9 @@ Per-pair work lives on the expansion object: a CFExpansion computes its
 invariants and the fraction it folds back to once, on first use, and
 keeps them.  enumerate_structures shares one expansion among all the
 structures of a pair, so the census computes them once per pair.
+expand builds its expansion without re-checking the coefficients it has
+just produced (ceiling division gives each a_i >= 2) and keeps the
+LensSpace it validated as the fraction, so nothing folds p/q back.
 
 All arithmetic is exact (Python integers), so there is no overflow regime.
 """
@@ -149,7 +152,12 @@ def expand(p: int, q: int) -> CFExpansion:
         a = -(-p // q)
         coeffs.append(a)
         p, q = q, a * q - p
-    return CFExpansion(tuple(coeffs))
+    # p > q > 0 at every step, so each a >= 2 and the coefficient check
+    # is skipped; the validated pair is the fraction they fold back to,
+    # kept where cached_property would keep it.
+    exp = object.__new__(CFExpansion)
+    exp.__dict__.update(coeffs=tuple(coeffs), fraction=space)
+    return exp
 
 
 def evaluate(coeffs: CFExpansion | Iterable[int]) -> LensSpace:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_int
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -226,8 +226,7 @@ def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ..
     """All vectors v with v M v^T equal to the given norm, both signs,
     canonically ordered.  norm 0 gives the empty list (the zero vector is
     excluded); negative norms are rejected."""
-    if not isinstance(norm, int) or isinstance(norm, bool):
-        raise InvalidInputError(f"norm must be an integer, got {norm!r}")
+    check_int("norm", norm)
     if norm < 0:
         raise InvalidInputError(f"norm must be nonnegative, got {norm}")
     return list(_fincke_pohst(lattice.diag, norm)) if norm else []
@@ -358,6 +357,7 @@ def orthogonal_group(lattice: IntersectionLattice, cap: int = DEFAULT_GROUP_CAP)
     candidate rows, keeping the elements found until then (at most cap
     of them, a canonical prefix of the group).
     """
+    check_int("cap", cap)
     if cap < 1:
         raise InvalidInputError(f"cap must be positive, got {cap}")
     elements: list[Isometry] = []
@@ -379,6 +379,8 @@ def find_isometry_with_trace(
     certificate of absence.  Exceeding the cap yields the indeterminate
     answer (witness None, complete False).
     """
+    check_int("trace", trace)
+    check_int("cap", cap)
     if cap < 1:
         raise InvalidInputError(f"cap must be positive, got {cap}")
     seen: list[int] = []

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .contact import (
     RotationVector,
@@ -338,6 +338,7 @@ def scan(
             all_even = all(a % 2 == 0 for a in coeffs)
             if all_even_only and not all_even:
                 continue
+            rots: Sequence[RotationVector]
             if rot_zero_only:
                 if not all_even:
                     continue

@@ -1,7 +1,9 @@
 """Tests for the contact layer: structure enumeration, Chern residues,
 coarse classification, and the domination inequalities."""
 
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -92,6 +94,52 @@ def test_enumeration_cap():
     with pytest.raises(ResultTooLargeError):
         check_c1_theorem([12], cap=5)
     assert len(enumerate_structures([12], cap=11)) == 11
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "x"])
+def test_enumeration_cap_must_be_an_integer(bad):
+    # True would otherwise be the cap 1, 1.5 a cap, and "x" a bare TypeError.
+    with pytest.raises(InvalidInputError, match="cap must be an integer"):
+        enumerate_structures([3], cap=bad)
+
+
+def test_structures_sequence_matches_the_slot_product():
+    for p in range(2, 61):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            exp = expand(p, q)
+            expected = [
+                RotationVector(exp, r)
+                for r in itertools.product(*(slot_values(a) for a in exp))
+            ]
+            rots = enumerate_structures(exp)
+            n = len(expected)
+            assert len(rots) == n
+            assert list(rots) == expected
+            assert [rots[i] for i in range(n)] == expected
+            assert [rots[i - n] for i in range(n)] == expected
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    rots[i]
+
+
+def test_first_structure_does_not_wait_for_the_rest():
+    exp = expand(1002000, 1001)
+    tracemalloc.start()
+    try:
+        rots = enumerate_structures(exp)
+        first = next(iter(rots))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.r == (-999, -999)
+    assert peak < 2**20
+    assert len(rots) == 1_000_000
+    # Each pass builds its vectors afresh, and both passes agree.
+    rots = enumerate_structures(expand(90600, 301))
+    assert len(rots) == 90_000
+    assert list(rots) == list(rots)
 
 
 def test_chern_examples():

@@ -121,6 +121,18 @@ def test_short_vectors_reject_a_bool_norm():
         short_vectors(gram([2, 2]), True)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, "x"])
+def test_caps_and_traces_must_be_integers(bad):
+    # True would otherwise pass as 1, 1.5 as a cap, and "x" would fail
+    # with a bare TypeError.
+    with pytest.raises(InvalidInputError, match="cap must be an integer"):
+        orthogonal_group(gram([4, 4]), cap=bad)
+    with pytest.raises(InvalidInputError, match="cap must be an integer"):
+        find_isometry_with_trace(gram([4, 4]), -1, cap=bad)
+    with pytest.raises(InvalidInputError, match="trace must be an integer"):
+        find_isometry_with_trace(gram([4, 4]), bad)
+
+
 def test_short_vectors_against_box_scan():
     # Independent check: scan the coordinate box [-B, B]^n directly.  The
     # margin assertion (all hits well inside the box) protects the scan's

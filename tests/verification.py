@@ -223,8 +223,12 @@ def per_pair_cache_mismatches(p_max: int) -> list[str]:
     """Every coprime (p, q) with p <= p_max whose shared expansion keeps a
     wrong value.
 
+    expand skips CFExpansion's coefficient check and keeps the LensSpace
+    it validated as the fraction, so its expansion must equal, hash and
+    repr like CFExpansion(tuple(coeffs)) built through the check, and
+    keep LensSpace(p, q) from the start, the same object on every read.
     For each pair the first and last structure from enumerate_structures
-    go through evaluate_one(theorem_only=True), so the expansion they
+    then go through evaluate_one(theorem_only=True), so the expansion they
     share has its invariants and fraction in use.  The kept invariants
     must equal a fresh computation from the plain coefficient tuple, and
     their weights the numerators of the prefix fractions folded from the
@@ -237,6 +241,13 @@ def per_pair_cache_mismatches(p_max: int) -> list[str]:
             if math.gcd(p, q) != 1:
                 continue
             exp = expand(p, q)
+            full = CFExpansion(tuple(exp.coeffs))
+            if exp != full or hash(exp) != hash(full) or repr(exp) != repr(full):
+                bad.append(f"{p}/{q}: expanded {exp!r}, validated {full!r}")
+            if vars(exp).get("fraction") != LensSpace(p, q):
+                bad.append(f"{p}/{q}: expand did not keep the fraction it validated")
+            if exp.fraction is not exp.fraction:
+                bad.append(f"{p}/{q}: fraction rebuilt on a later read")
             rots = enumerate_structures(exp)
             for rot in (rots[0], rots[-1]):
                 if rot.coeffs is not exp:

@@ -13,8 +13,6 @@ from .contact import (
     chern_residue,
     classify_structure,
     enumerate_structures,
-    slot_values,
-    structure_count,
     zero_vector,
 )
 from .contfrac import (
@@ -23,7 +21,6 @@ from .contfrac import (
     LensSpace,
     as_expansion,
     cf_invariants,
-    evaluate,
     expand,
     q_squared_is_one,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "decide_full",
     "decide_theorem",
     "enumerate_structures",
-    "evaluate",
     "evaluate_one",
     "expand",
     "find_isometry_with_trace",
@@ -83,7 +79,5 @@ __all__ = [
     "q_squared_is_one",
     "scan",
     "short_vectors",
-    "slot_values",
-    "structure_count",
     "zero_vector",
 ]

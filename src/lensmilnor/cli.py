@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from .contact import RotationVector, chern_residue, classify_structure, enumerate_structures
 from .contfrac import LensSpace, expand
@@ -205,7 +205,8 @@ def _common_flags() -> argparse.ArgumentParser:
     )
     par.add_argument(
         "--cap", type=int, default=argparse.SUPPRESS,
-        help="bound on enumeration size and search work (default 1000000)",
+        help="bound on enumeration size and search work in every subcommand, "
+        "scan included (default 1000000)",
     )
     par.add_argument(
         "--quiet", action="store_true", default=argparse.SUPPRESS,
@@ -327,7 +328,7 @@ def _emit(ctx: _Ctx, fields: Sequence[str], rows) -> bool:
     return flagged
 
 
-def _rotations(ns, ctx: _Ctx, exp) -> Sequence[RotationVector]:
+def _rotations(ns, ctx: _Ctx, exp) -> Iterable[RotationVector]:
     """The structure named by --rot, or every structure when it is absent."""
     if getattr(ns, "rot", None) is not None:
         return [RotationVector(exp, _parse_int_list(ns.rot, "--rot"))]

@@ -9,7 +9,7 @@ that product never exceeds p.
 The residue sum(r_i mu_i) mod p locates the first Chern class of the
 structure in H^2, and it vanishes exactly for the zero vector.
 
-enumerate_structures returns a Structures sequence, not a list: it holds
+enumerate_structures returns a Structures iterable, not a list: it holds
 the expansion and one range of slot values per coefficient, so a pair
 costs O(n) memory however many structures it has, its length is the
 product of the range lengths, and each vector is built when it is read.
@@ -28,13 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion, cf_invariants
-from .errors import InvalidInputError, ResultTooLargeError, check_int
+from .errors import InvalidInputError, ResultTooLargeError, check_cap
 
 DEFAULT_STRUCTURE_CAP = 1_000_000
 
@@ -84,25 +83,13 @@ class RotationVector:
         return all(ri == 0 for ri in self.r)
 
 
-def slot_values(a: int) -> tuple[int, ...]:
-    """Admissible rotation numbers for one coefficient, ascending."""
-    if not isinstance(a, int) or a < 2:
-        raise InvalidInputError(f"coefficients must be integers >= 2, got {a}")
-    return tuple(_slot_range(a))
-
-
 def _slot_range(a: int) -> range:
-    """slot_values(a) as a range, for an a already known to be >= 2."""
+    """Admissible rotation numbers for a coefficient a >= 2, ascending."""
     return range(2 - a, a - 1, 2)
 
 
-def structure_count(coeffs: CFExpansion | Iterable[int]) -> int:
-    """Number of tight structures, prod(a_i - 1)."""
-    return math.prod(a - 1 for a in as_expansion(coeffs).coeffs)
-
-
 def _admissible(exp: CFExpansion, r: tuple[int, ...]) -> RotationVector:
-    """RotationVector(exp, r) for an r drawn from slot_values, without
+    """RotationVector(exp, r) for an r drawn from the slot ranges, without
     the slot check: such an r is admissible by construction."""
     rot = object.__new__(RotationVector)
     fields = rot.__dict__
@@ -111,21 +98,18 @@ def _admissible(exp: CFExpansion, r: tuple[int, ...]) -> RotationVector:
     return rot
 
 
-class Structures(Sequence):
+class Structures:
     """The tight structures of one expansion, each built when it is read.
 
     Order: slots vary rightmost-fastest, each slot ascending.  len() is
-    known without building anything.  An integer index, negative ones
-    included, is decoded in mixed radix with the rightmost slot as the
-    lowest digit; slices are not supported.
+    known without building anything; every iteration builds the vectors
+    afresh.
     """
 
     __slots__ = ("_exp", "_slots", "_count")
 
     def __init__(self, exp: CFExpansion) -> None:
         self._exp = exp
-        # The expansion's coefficients are validated, so the slot ranges
-        # skip slot_values' check.
         self._slots = tuple(map(_slot_range, exp.coeffs))
         self._count = math.prod(map(len, self._slots))
 
@@ -135,30 +119,17 @@ class Structures(Sequence):
     def __iter__(self) -> Iterator[RotationVector]:
         return map(_admissible, itertools.repeat(self._exp), itertools.product(*self._slots))
 
-    def __getitem__(self, index: int) -> RotationVector:
-        i = operator.index(index)
-        if i < 0:
-            i += self._count
-        if not 0 <= i < self._count:
-            raise IndexError(f"structure index {index} out of range for {self._count}")
-        r = []
-        for values in reversed(self._slots):
-            i, digit = divmod(i, len(values))
-            r.append(values[digit])
-        r.reverse()
-        return _admissible(self._exp, tuple(r))
-
 
 def enumerate_structures(
     coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_STRUCTURE_CAP
 ) -> Structures:
     """All tight structures on the lens space of the expansion, as a
-    Structures sequence that builds each vector when it is read.
+    sized iterable that builds each vector when it is read.
 
     Raises ResultTooLargeError at call time when prod(a_i - 1) exceeds
     cap.
     """
-    check_int("cap", cap)
+    check_cap(cap)
     exp = as_expansion(coeffs)
     structures = Structures(exp)
     if len(structures) > cap:

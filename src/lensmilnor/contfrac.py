@@ -6,9 +6,9 @@ Every fraction p/q with 0 < q < p and gcd(p, q) = 1 has a unique expansion
 
 obtained by repeated ceiling division.  The coefficient list is the
 standard plumbing description of the lens space L(p, q).  The Chern
-residue reads the weight sequence mu and p = |Delta[n]| from the signed
-minor sequence Delta derived from it; the intersection-lattice layer
-works from the coefficients alone and computes its own minors.
+residue reads the weight sequence mu and p, the term one step past the
+last weight of the same recurrence; the intersection-lattice layer works
+from the coefficients alone and computes its own minors.
 
 Per-pair work lives on the expansion object: a CFExpansion computes its
 invariants and the fraction it folds back to once, on first use, and
@@ -69,10 +69,6 @@ class CFExpansion:
             if not isinstance(a, int) or a < 2:
                 raise InvalidInputError(f"coefficients must be integers >= 2, got {a}")
 
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -84,26 +80,18 @@ class CFExpansion:
 
     @cached_property
     def invariants(self) -> CFInvariants:
-        """Weight and signed-minor sequences; see cf_invariants."""
-        a = self.coeffs
-        n = len(a)
-
-        mu = [1]
-        if n >= 2:
-            mu.append(a[0])
-            for i in range(2, n):
-                mu.append(a[i - 1] * mu[-1] - mu[-2])
-
-        delta = [0, 1]
-        for i in range(n):
-            delta.append(-a[i] * delta[-1] - delta[-2])
-
-        det = delta[-1]
-        return CFInvariants(mu=tuple(mu), delta=tuple(delta), det=det, p=abs(det))
+        """Weights mu and p; see cf_invariants."""
+        mu = []
+        prev, cur = 0, 1
+        for a in self.coeffs:
+            mu.append(cur)
+            prev, cur = cur, a * cur - prev
+        return CFInvariants(tuple(mu), cur)
 
     @cached_property
     def fraction(self) -> LensSpace:
-        """The fraction p/q the expansion represents; see evaluate."""
+        """The fraction p/q the expansion represents, folded from the
+        right: the inverse of expand."""
         num, den = self.coeffs[-1], 1
         for a in reversed(self.coeffs[:-1]):
             num, den = a * num - den, num
@@ -119,24 +107,16 @@ def as_expansion(value: CFExpansion | Iterable[int]) -> CFExpansion:
 
 @dataclass(frozen=True)
 class CFInvariants:
-    """Derived sequences of an expansion.
+    """Weights of an expansion and the p they end in.
 
-    mu:    weights mu_1 = 1, mu_2 = a1, mu_i = a_{i-1} mu_{i-1} - mu_{i-2};
-           strictly increasing.
-    delta: signed minors Delta[-1..n] stored left-padded, so delta[0] is
-           Delta[-1] = 0, delta[1] is Delta[0] = 1, and delta[i+1] is
-           Delta[i] = -a_i Delta[i-1] - Delta[i-2].
-    det:   Delta[n], the determinant of the linking matrix; |det| = p.
+    mu: weights mu_1 = 1, mu_2 = a1, mu_{i+1} = a_i mu_i - mu_{i-1};
+        strictly increasing.
+    p:  the next term of the same recurrence, a_n mu_n - mu_{n-1}, the
+        numerator of the fraction the expansion folds to.
     """
 
     mu: tuple[int, ...]
-    delta: tuple[int, ...]
-    det: int
     p: int
-
-    def delta_at(self, i: int) -> int:
-        """Delta[i] for -1 <= i <= n."""
-        return self.delta[i + 1]
 
 
 def expand(p: int, q: int) -> CFExpansion:
@@ -160,21 +140,11 @@ def expand(p: int, q: int) -> CFExpansion:
     return exp
 
 
-def evaluate(coeffs: CFExpansion | Iterable[int]) -> LensSpace:
-    """Fold an expansion back to the fraction p/q it represents.
-
-    Right-to-left: the tail [a_k, ..., a_n] evaluates to p'/q' and the
-    next step maps it to (a_{k-1} p' - q') / p'.  Inverse of expand().
-    """
-    return as_expansion(coeffs).fraction
-
-
 def cf_invariants(coeffs: CFExpansion | Iterable[int]) -> CFInvariants:
-    """Weight and signed-minor sequences of an expansion.
+    """Weights mu and p of an expansion.
 
-    Identities maintained (and asserted in the test suite):
-    |Delta[n]| = p, sign(Delta[i]) = (-1)^i for 0 <= i <= n, and
-    Delta[i] = (-1)^i mu_{i+1} for 0 <= i <= n - 1.
+    The test suite checks them against the signed minors Delta[i] of the
+    linking matrix: Delta[i] = (-1)^i mu_{i+1} and |Delta[n]| = p.
 
     Computed once per expansion object: a CFExpansion returns its kept
     invariants, a plain iterable gets a fresh expansion and fresh ones.

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check
-that raises one."""
+"""Exception types shared across the package, and the integer and cap
+checks that raise one."""
 
 
 class InvalidInputError(ValueError):
@@ -16,3 +16,11 @@ def check_int(name: str, value: object) -> None:
     subclass, but True standing for 1 is refused."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def check_cap(cap: object) -> None:
+    """Raise InvalidInputError unless cap is an int, not a bool, and at
+    least 1."""
+    check_int("cap", cap)
+    if cap < 1:
+        raise InvalidInputError(f"cap must be positive, got {cap}")

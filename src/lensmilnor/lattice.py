@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion
-from .errors import InvalidInputError, check_int
+from .errors import InvalidInputError, check_cap, check_int
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -357,9 +357,7 @@ def orthogonal_group(lattice: IntersectionLattice, cap: int = DEFAULT_GROUP_CAP)
     candidate rows, keeping the elements found until then (at most cap
     of them, a canonical prefix of the group).
     """
-    check_int("cap", cap)
-    if cap < 1:
-        raise InvalidInputError(f"cap must be positive, got {cap}")
+    check_cap(cap)
     elements: list[Isometry] = []
     try:
         for iso in _iter_isometries(lattice, cap):
@@ -380,9 +378,7 @@ def find_isometry_with_trace(
     answer (witness None, complete False).
     """
     check_int("trace", trace)
-    check_int("cap", cap)
-    if cap < 1:
-        raise InvalidInputError(f"cap must be positive, got {cap}")
+    check_cap(cap)
     seen: list[int] = []
     try:
         for iso in _iter_isometries(lattice, cap):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .contact import (
     RotationVector,
@@ -47,7 +47,7 @@ from .contact import (
     zero_vector,
 )
 from .contfrac import CFExpansion, LensSpace, expand, q_squared_is_one
-from .errors import InvalidInputError, ResultTooLargeError
+from .errors import InvalidInputError, ResultTooLargeError, check_cap, check_int
 from .lattice import (
     DEFAULT_GROUP_CAP,
     Isometry,
@@ -324,10 +324,13 @@ def scan(
     order: p ascending, q ascending, structures in enumeration order.
 
     rot_zero_only keeps only the zero vector (skipping pairs where it is
-    not admissible); all_even_only keeps only all-even expansions.  A
-    failure while evaluating an entry becomes a record with the error
-    field set.
+    not admissible); all_even_only keeps only all-even expansions.  cap
+    bounds each pair's structure enumeration and each search.  A failure
+    while evaluating an entry, a pair with more than cap structures
+    included, becomes a record with the error field set.
     """
+    check_int("p_max", p_max)
+    check_cap(cap)
     if p_max < 2:
         raise InvalidInputError(f"p_max must be at least 2, got {p_max}")
     for p in range(2, p_max + 1):
@@ -338,14 +341,14 @@ def scan(
             all_even = all(a % 2 == 0 for a in coeffs)
             if all_even_only and not all_even:
                 continue
-            rots: Sequence[RotationVector]
+            rots: Iterable[RotationVector]
             if rot_zero_only:
                 if not all_even:
                     continue
                 rots = [zero_vector(coeffs)]
             else:
                 try:
-                    rots = enumerate_structures(coeffs)
+                    rots = enumerate_structures(coeffs, cap=cap)
                 except ResultTooLargeError as exc:
                     yield Record(p, q, coeffs, None, None, None, None, error=str(exc))
                     continue

@@ -11,12 +11,11 @@ from lensmilnor import (
     LensSpace,
     as_expansion,
     cf_invariants,
-    evaluate,
     expand,
     q_squared_is_one,
 )
 
-from verification import is_palindromic, per_pair_cache_mismatches
+from verification import is_palindromic, per_pair_cache_mismatches, signed_minors
 
 
 def test_expand_examples():
@@ -35,12 +34,12 @@ def test_expand_examples():
 
 
 def test_evaluate_examples():
-    assert evaluate([2, 3, 2]) == LensSpace(8, 5)
-    assert evaluate([2, 4]) == LensSpace(7, 4)
-    assert evaluate([2, 2, 4]) == LensSpace(10, 7)
-    assert evaluate([4, 4]) == LensSpace(15, 4)
-    assert evaluate([6]) == LensSpace(6, 1)
-    assert evaluate((2,) * 9) == LensSpace(10, 9)
+    assert as_expansion([2, 3, 2]).fraction == LensSpace(8, 5)
+    assert as_expansion([2, 4]).fraction == LensSpace(7, 4)
+    assert as_expansion([2, 2, 4]).fraction == LensSpace(10, 7)
+    assert as_expansion([4, 4]).fraction == LensSpace(15, 4)
+    assert as_expansion([6]).fraction == LensSpace(6, 1)
+    assert as_expansion((2,) * 9).fraction == LensSpace(10, 9)
 
 
 def test_expand_rejects_bad_input():
@@ -68,7 +67,7 @@ def test_expansion_rejects_bad_coefficients():
     with pytest.raises(InvalidInputError):
         CFExpansion((2, -4, 2))
     with pytest.raises(InvalidInputError):
-        evaluate([3, 1])
+        as_expansion([3, 1])
     assert as_expansion([2, 5]).coeffs == (2, 5)
     assert as_expansion(CFExpansion((3,))).coeffs == (3,)
 
@@ -76,24 +75,19 @@ def test_expansion_rejects_bad_coefficients():
 def test_invariants_single_coefficient():
     inv = cf_invariants([6])
     assert inv.mu == (1,)
-    assert inv.delta == (0, 1, -6)
-    assert inv.det == -6
     assert inv.p == 6
-    assert inv.delta_at(-1) == 0
-    assert inv.delta_at(0) == 1
-    assert inv.delta_at(1) == -6
+    assert signed_minors([6]) == (1, -6)
 
 
 def test_invariants_examples():
     inv = cf_invariants([2, 4, 2])
     assert inv.mu == (1, 2, 7)
-    assert inv.delta == (0, 1, -2, 7, -12)
-    assert inv.det == -12
+    assert signed_minors([2, 4, 2]) == (1, -2, 7, -12)
     assert inv.p == 12
 
     inv = cf_invariants([2, 3, 2])
     assert inv.mu == (1, 2, 5)
-    assert inv.det == -8
+    assert signed_minors([2, 3, 2])[-1] == -8
     assert inv.p == 8
 
     inv = cf_invariants([4, 4, 4, 4])
@@ -101,26 +95,27 @@ def test_invariants_examples():
 
 
 def test_invariant_identities_exhaustive():
+    # Against the signed minors Delta of verification.signed_minors:
     # mu increasing, |Delta[n]| = p, Delta[i] = (-1)^i mu_{i+1},
-    # sign(Delta[i]) = (-1)^i, and evaluate inverts expand.
-    for p in range(2, 151):
+    # sign(Delta[i]) = (-1)^i, and folding the coefficients inverts expand.
+    for p in range(2, 201):
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
             exp = expand(p, q)
-            assert evaluate(exp) == LensSpace(p, q)
+            assert CFExpansion(exp.coeffs).fraction == exp.fraction == LensSpace(p, q)
             assert len(exp) < p
             inv = cf_invariants(exp)
+            delta = signed_minors(exp)
             n = len(exp)
             assert len(inv.mu) == n
             assert all(inv.mu[i] < inv.mu[i + 1] for i in range(n - 1))
-            assert inv.p == p
-            assert abs(inv.delta_at(n)) == p
+            assert inv.p == exp.fraction.p == abs(delta[n]) == p
             # inv.mu[i] is the (i+1)-th weight, so this is Delta[i] = (-1)^i mu_{i+1}
             for i in range(n):
-                assert inv.delta_at(i) == (-1) ** i * inv.mu[i]
+                assert delta[i] == (-1) ** i * inv.mu[i]
             for i in range(n + 1):
-                sign = 1 if inv.delta_at(i) > 0 else -1
+                sign = 1 if delta[i] > 0 else -1
                 assert sign == (-1) ** i
 
 
@@ -135,7 +130,7 @@ def test_kept_values_are_not_fields():
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
     assert cf_invariants(cold) is cf_invariants(cold)
-    assert evaluate(cold) is evaluate(cold)
+    assert cold.fraction is cold.fraction
 
 
 def test_per_pair_caches_match_fresh_values():

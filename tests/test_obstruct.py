@@ -298,7 +298,7 @@ def test_mismatched_rotation_raises():
     # A structure from a valid expansion of the same length and the same p
     # that belongs to another pair: 11/4 = [3, 4] is the reverse of
     # 11/3 = [4, 3].
-    other = enumerate_structures(expand(11, 4))[0]
+    other = next(iter(enumerate_structures(expand(11, 4))))
     message = r"built for \(3, 4\), but 11/3 expands to \(4, 3\)"
     with pytest.raises(InvalidInputError, match=message):
         decide_theorem(11, 3, other)
@@ -417,12 +417,11 @@ def test_scan_first_three():
     assert all(r.error is None for r in records)
 
 
-def test_scan_turns_a_structure_cap_into_error_rows(monkeypatch):
-    # Pairs with more structures than the cap become one Error row each,
-    # and the scan goes on with the next pair.
-    real = obstruct.enumerate_structures
-    monkeypatch.setattr(obstruct, "enumerate_structures", lambda coeffs: real(coeffs, cap=2))
-    records = list(scan(5))
+def test_scan_turns_a_structure_cap_into_error_rows():
+    # As in obstruct and structures, the cap bounds each pair's structures:
+    # pairs with more become one Error row each, and the scan goes on with
+    # the next pair.
+    records = list(scan(5, cap=2))
     errors = [r for r in records if r.error is not None]
     assert [(r.p, r.q) for r in errors] == [(4, 1), (5, 1)]
     assert errors[0].error == "3 structures exceed cap 2 for coefficients (4,)"
@@ -430,6 +429,9 @@ def test_scan_turns_a_structure_cap_into_error_rows(monkeypatch):
     assert [(r.p, r.q) for r in records if r.error is None] == [
         (2, 1), (3, 1), (3, 1), (3, 2), (4, 3), (5, 2), (5, 2), (5, 3), (5, 3), (5, 4)
     ]
+    # 7/1 = [7] has 6 structures.
+    rows = [r for r in scan(7, cap=3) if (r.p, r.q) == (7, 1)]
+    assert [r.error for r in rows] == ["6 structures exceed cap 3 for coefficients (7,)"]
 
 
 def test_scan_filters():
@@ -460,3 +462,15 @@ def test_scan_is_deterministic():
 def test_scan_bad_pmax():
     with pytest.raises(InvalidInputError):
         list(scan(1))
+    # True is not the p_max 1, and 2.5 and "x" are bad input, not a TypeError.
+    for bad in (2.5, "x", True):
+        with pytest.raises(InvalidInputError, match="^p_max must be an integer, got "):
+            list(scan(bad))
+
+
+def test_scan_checks_its_cap():
+    # A bad cap fails the scan instead of becoming an Error row per pair.
+    with pytest.raises(InvalidInputError, match="^cap must be positive, got 0$"):
+        list(scan(12, cap=0))
+    with pytest.raises(InvalidInputError, match="^cap must be an integer, got True$"):
+        list(scan(12, cap=True))

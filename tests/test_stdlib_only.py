@@ -56,3 +56,29 @@ def test_library_keeps_no_process_global_cache():
         and (node.id if isinstance(node, ast.Name) else node.attr) in ("lru_cache", "cache")
     ]
     assert found == []
+
+
+def _referenced_names(paths):
+    """Every name a module reads, imports or reaches as an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # A name exported only for the tests belongs in tests/verification.py:
+    # each one in __all__ is used by the package itself or the benchmark.
+    src = Path(lensmilnor.__file__).resolve().parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    used = _referenced_names(
+        [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+        + sorted(perfbench.glob("*.py"))
+    )
+    assert sorted(set(lensmilnor.__all__) - used) == []

@@ -26,10 +26,24 @@ from lensmilnor import (
     enumerate_structures,
     evaluate_one,
     expand,
-    slot_values,
-    structure_count,
 )
 from lensmilnor.contact import DEFAULT_STRUCTURE_CAP
+
+
+def slot_values(a: int) -> tuple[int, ...]:
+    """Admissible rotation numbers for a coefficient a >= 2, ascending:
+    the r with |r| <= a - 2 and r = a mod 2."""
+    return tuple(r for r in range(-(a - 2), a - 1) if (r - a) % 2 == 0)
+
+
+def signed_minors(coeffs: CFExpansion | Iterable[int]) -> tuple[int, ...]:
+    """Delta[0], ..., Delta[n]: the leading principal minors of the
+    linking matrix (diagonal -a_i, 1 beside it), by their own recurrence
+    Delta[-1] = 0, Delta[0] = 1, Delta[i] = -a_i Delta[i-1] - Delta[i-2]."""
+    delta = [0, 1]
+    for a in as_expansion(coeffs):
+        delta.append(-a * delta[-1] - delta[-2])
+    return tuple(delta[1:])
 
 
 def canonical_vector_key(v: Iterable[int]) -> tuple[tuple[int, bool], ...]:
@@ -160,7 +174,7 @@ def lemma_bounds(rot: RotationVector) -> BoundReport:
     n = len(a)
 
     total = sum(ri * mi for ri, mi in zip(r, mu))
-    sum_below_det = abs(total) < abs(inv.det)
+    sum_below_det = abs(total) < abs(signed_minors(a)[-1])
     tail_weight_grows = n == 1 or a[-1] * mu[-1] - a[-2] * mu[-2] > 0
     if r[-1] == 0:
         last_dominates_prev = True
@@ -185,7 +199,7 @@ def check_c1_theorem(coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_STR
     Returns True when the equivalence holds for every structure.
     """
     exp = as_expansion(coeffs)
-    count = structure_count(exp)
+    count = math.prod(a - 1 for a in exp)
     if count > cap:
         raise ResultTooLargeError(
             f"{count} structures exceed cap {cap} for coefficients {exp.coeffs}"
@@ -227,9 +241,9 @@ def per_pair_cache_mismatches(p_max: int) -> list[str]:
     it validated as the fraction, so its expansion must equal, hash and
     repr like CFExpansion(tuple(coeffs)) built through the check, and
     keep LensSpace(p, q) from the start, the same object on every read.
-    For each pair the first and last structure from enumerate_structures
-    then go through evaluate_one(theorem_only=True), so the expansion they
-    share has its invariants and fraction in use.  The kept invariants
+    For each pair the first and last structure that enumerate_structures
+    yields then go through evaluate_one(theorem_only=True), so the
+    expansion they share has its invariants and fraction in use.  The kept invariants
     must equal a fresh computation from the plain coefficient tuple, and
     their weights the numerators of the prefix fractions folded from the
     right (mu_{i+1} is the numerator of [a_1, ..., a_i]); the kept
@@ -248,7 +262,7 @@ def per_pair_cache_mismatches(p_max: int) -> list[str]:
                 bad.append(f"{p}/{q}: expand did not keep the fraction it validated")
             if exp.fraction is not exp.fraction:
                 bad.append(f"{p}/{q}: fraction rebuilt on a later read")
-            rots = enumerate_structures(exp)
+            rots = list(enumerate_structures(exp))
             for rot in (rots[0], rots[-1]):
                 if rot.coeffs is not exp:
                     bad.append(f"{p}/{q}: a structure does not share the expansion")

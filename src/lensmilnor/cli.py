@@ -33,8 +33,8 @@ from typing import IO, Iterable, Sequence
 
 from .contact import RotationVector, chern_residue, classify_structure, enumerate_structures
 from .contfrac import LensSpace, expand
-from .errors import InvalidInputError, ResultTooLargeError
-from .lattice import DEFAULT_GROUP_CAP, IntersectionLattice, orthogonal_group
+from .errors import DEFAULT_CAP, InvalidInputError, ResultTooLargeError, check_cap
+from .lattice import IntersectionLattice, orthogonal_group
 from .obstruct import Record, _evaluate_or_error, scan
 
 _WIDTHS = {
@@ -446,15 +446,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     ctx = _Ctx(
         fmt=getattr(ns, "format", "table"),
-        cap=getattr(ns, "cap", DEFAULT_GROUP_CAP),
+        cap=getattr(ns, "cap", DEFAULT_CAP),
         quiet=getattr(ns, "quiet", False),
         strict=getattr(ns, "strict", False),
         out=sys.stdout.buffer,
     )
-    if ctx.cap < 1:
-        print("error: --cap must be positive", file=sys.stderr)
-        return 1
     try:
+        check_cap(ctx.cap)
         indeterminate = ns.func(ns, ctx)
         ctx.out.flush()
     except (InvalidInputError, ResultTooLargeError) as exc:

@@ -33,9 +33,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion, cf_invariants
-from .errors import InvalidInputError, ResultTooLargeError, check_cap
-
-DEFAULT_STRUCTURE_CAP = 1_000_000
+from .errors import DEFAULT_CAP, InvalidInputError, ResultTooLargeError, check_cap
 
 
 class TightClass(Enum):
@@ -121,7 +119,7 @@ class Structures:
 
 
 def enumerate_structures(
-    coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_STRUCTURE_CAP
+    coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_CAP
 ) -> Structures:
     """All tight structures on the lens space of the expansion, as a
     sized iterable that builds each vector when it is read.

@@ -11,6 +11,11 @@ class ResultTooLargeError(RuntimeError):
     """A structure enumeration would exceed the requested cap."""
 
 
+# The one default cap: structures per enumeration, and candidate rows per
+# isometry search.
+DEFAULT_CAP = 1_000_000
+
+
 def check_int(name: str, value: object) -> None:
     """Raise InvalidInputError unless value is an int.  bool is an int
     subclass, but True standing for 1 is refused."""

@@ -27,6 +27,20 @@ pairs: within a run of 2s, M (e_i + ... + e_j) telescopes to at most
 four nonzeros.  All of it dies with the search; every lattice of a scan
 is searched about once, so nothing is kept across calls.
 
+The last row is the exception.  Its n - 1 pairings with the placed rows
+are all known, so at most two vectors pass, but a plain scan reads the
+whole set to find them, on every visit: 10,952 norm-4 vectors for
+[2^15, 4].  A Fincke-Pohst subtree (Math. Comp. 44, 1985) depends only
+on its state (level, previous coordinate, scaled remainder), so the
+search counts the last row's set instead, with subtree sizes memoized by
+state (134 states for those 10,952 vectors).  Once the last depth has
+512 vectors in its list, it continues past the end by a counted walk: a
+subtree is charged by its size, unvisited, when it lies before the start
+rank or its prefix already breaks a pairing whose support it fixes, and
+the walk descends only into the others.  The row is charged the
+candidates the scan would have examined, so the steps, elements and cap
+point are the scan's.
+
 Canonical order, used everywhere vectors or matrices are listed: each
 coordinate is ranked by magnitude with the negative value first
 (0 < -1 < 1 < -2 < 2 < ...), vectors compare lexicographically by that
@@ -54,9 +68,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .contfrac import CFExpansion, as_expansion
-from .errors import InvalidInputError, check_cap, check_int
-
-DEFAULT_GROUP_CAP = 1_000_000
+from .errors import DEFAULT_CAP, InvalidInputError, check_cap, check_int
 
 
 @dataclass(frozen=True)
@@ -154,6 +166,30 @@ def _canonical_range(lo: int, hi: int) -> Iterable[int]:
     return out
 
 
+def _reversed_minors(diag: tuple[int, ...]) -> list[int]:
+    """Leading minors of the reversed diagonal: m[k] = a'_k m[k-1] - m[k-2],
+    m[0] = 1.  With y = x reversed, the LDL^T form is
+      Q(x) = sum_k (m[k] y_k - m[k-1] y_{k+1})^2 / (m[k] m[k-1]),
+    so level i fixes x_i = y_k with k = n - i, given x_{i-1} = y_{k+1}."""
+    m = [1]
+    prev2 = 0
+    for a in reversed(diag):
+        m.append(a * m[-1] - prev2)
+        prev2 = m[-2]
+    return m
+
+
+def _last_coordinates(c: int, r: int, mk: int) -> list[int]:
+    """The values of the last coordinate that leave remainder 0, in
+    canonical order, when r^2 is the whole bound: only t = mk x - c =
+    +-r does.  _fincke_pohst inlines these lines: a call per leaf costs
+    orthogonal_group ~5% on the lattices of gerstein_autgroup."""
+    ends = [(c + t) // mk for t in ((-r, r) if r else (0,)) if (c + t) % mk == 0]
+    if len(ends) == 2 and -ends[0] > ends[1]:
+        ends.reverse()  # canonical: the smaller magnitude first
+    return ends
+
+
 def _fincke_pohst(diag: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
     """Yield the vectors of norm target (> 0) in canonical order, one at
     a time, so a reader that stops early leaves the rest unenumerated.
@@ -163,16 +199,7 @@ def _fincke_pohst(diag: tuple[int, ...], target: int) -> Iterator[tuple[int, ...
     that turn a candidate into the remainder passed to level i + 1.
     """
     n = len(diag)
-    # Leading minors of the reversed diagonal: m[k] = a'_k m[k-1] - m[k-2],
-    # m[0] = 1.  With y = x reversed, the LDL^T form is
-    #   Q(x) = sum_k (m[k] y_k - m[k-1] y_{k+1})^2 / (m[k] m[k-1]),
-    # so level i fixes x_i = y_k with k = n - i, given x_{i-1} = y_{k+1}.
-    m = [1]
-    prev2 = 0
-    for a in reversed(diag):
-        m.append(a * m[-1] - prev2)
-        prev2 = m[-2]
-
+    m = _reversed_minors(diag)
     x = [0] * n
     todo: list = [None] * n
     bounds = [0] * n
@@ -232,6 +259,120 @@ def short_vectors(lattice: IntersectionLattice, norm: int) -> list[tuple[int, ..
     return list(_fincke_pohst(lattice.diag, norm)) if norm else []
 
 
+class _CountedSet:
+    """The vectors of norm target (> 0) in canonical order, ranked and
+    counted instead of listed.
+
+    A state (i, x_{i-1}, s) is a Fincke-Pohst subtree: the level, the
+    coordinate before it and the scaled remainder.  sizes maps each
+    state met so far to the number of vectors below it; it lives as long
+    as the object, which a row search owns.
+    """
+
+    def __init__(self, diag: tuple[int, ...], target: int) -> None:
+        self.n = len(diag)
+        self.m = _reversed_minors(diag)
+        self.top = self.m[-1] * target
+        self.sizes: dict[tuple[int, int, int], int] = {}
+
+    def _children(self, i: int, xp: int, s: int) -> list[tuple[int, int]]:
+        """(x_i, remainder for level i + 1) for each candidate at level i,
+        in canonical order; at the last level only the ones that end a
+        vector, with remainder 0."""
+        m = self.m
+        k = self.n - i
+        mk = m[k]
+        c = m[k - 1] * xp
+        bound = m[k - 1] * s
+        r = math.isqrt(bound)
+        if k == 1:
+            return [(xi, 0) for xi in _last_coordinates(c, r, mk)] if r * r == bound else []
+        out = []
+        for xi in _canonical_range(-((r - c) // mk), (c + r) // mk):
+            t = mk * xi - c
+            out.append((xi, (bound - t * t) // mk))
+        return out
+
+    def size(self, i: int, xp: int, s: int) -> int:
+        """The number of vectors below the state, memoized for it and for
+        every state under it.  An explicit stack of levels, so the rank
+        is not bounded by recursion."""
+        n = self.n
+        sizes = self.sizes
+        root = (i, xp, s)
+        if root in sizes:
+            return sizes[root]
+        stack = [(root, iter(self._children(*root)), [0])]
+        while stack:
+            state, todo, total = stack[-1]
+            for xi, rest in todo:
+                child = (state[0] + 1, xi, rest)
+                if child[0] == n:
+                    total[0] += 1
+                    continue
+                got = sizes.get(child)
+                if got is None:
+                    stack.append((child, iter(self._children(*child)), [0]))
+                    break
+                total[0] += got
+            else:
+                stack.pop()
+                sizes[state] = total[0]
+                if stack:
+                    stack[-1][2][0] += total[0]
+        return sizes[root]
+
+    def first(
+        self, start: int, pairings: Iterable[tuple[tuple[tuple[int, int], ...], int]]
+    ) -> tuple[int, tuple[int, ...] | None]:
+        """(rank, v) for the first vector v at rank >= start with
+        v . w == want for every (M w as (index, value) pairs, want) in
+        pairings; (total count, None) when no such vector exists.
+
+        A pairing is fixed once the coordinates up to the last index of
+        M w are.  A subtree is charged by its size, without a visit, when
+        it lies wholly before start or its prefix already breaks a fixed
+        pairing; the walk descends only into the others.
+        """
+        n = self.n
+        fixed: dict[int, list] = {}
+        for terms, want in pairings:
+            fixed.setdefault(terms[-1][0], []).append((terms, want))
+        x = [0] * n
+        todo: list = [None] * n
+        todo[0] = iter(self._children(0, 0, self.top))
+        rank = 0
+        i = 0
+        while i >= 0:
+            checks = fixed.get(i, ())
+            for xi, rest in todo[i]:
+                x[i] = xi
+                broken = False
+                for terms, want in checks:
+                    s = 0
+                    for j, y in terms:
+                        s += x[j] * y
+                    if s != want:
+                        broken = True
+                        break
+                if i + 1 == n:
+                    if rank >= start and not broken:
+                        return rank, tuple(x)
+                    rank += 1
+                    continue
+                size = self.size(i + 1, xi, rest)
+                if broken or rank + size <= start or not size:
+                    rank += size
+                    continue
+                break  # this subtree may hold the vector: descend
+            else:
+                i -= 1
+                continue
+            i += 1
+            todo[i] = iter(self._children(i, xi, rest))
+        return rank, None
+
+
 class _SearchCapped(Exception):
     """Internal: the row search exhausted its work budget."""
 
@@ -244,13 +385,19 @@ def _isometry(rows: tuple[tuple[int, ...], ...]) -> Isometry:
     return iso
 
 
+# Vectors the last depth's list must hold before the last depth, running
+# past its end, walks instead of pulling more.  Walks on sets that barely
+# pass this cost more than the reads they save.
+_WALK_AFTER = 512
+
+
 def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometry]:
     """Yield every element of O_Z(M) in canonical order.
 
     Charges one step per candidate row examined; raises _SearchCapped
     once more than cap steps are needed.  Per distinct diagonal entry the
     search keeps the vectors read so far and the suspended enumerator,
-    shared by the depths with that entry.  Each depth walks the list by
+    shared by the depths with that entry.  Each depth reads the list by
     index and pulls one vector on running past its end, so a search that
     stops early enumerates only what it examined, and everything is freed
     with the search.  An enumerator that raises ends the search too, so
@@ -258,12 +405,23 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     paired with each placed row through the row's sparse image M v,
     built once when the row is placed.
 
+    One exception: at the last depth, once its list holds _WALK_AFTER
+    vectors, running past the end continues through a _CountedSet walk
+    from that rank instead of pulling more.  All n - 1 pairings are then
+    known, so at most two vectors pass; the walk returns the next one
+    and its rank, and the depth is charged the candidates the scan would
+    have examined to reach it (or the rest of the set).  Elements, order
+    and cap point stay those of the plain scan.  The walk's memo is
+    built on first use and freed with the search.
+
     Depth-first over the rows in one loop, with the index of the next
     candidate kept per depth, so the rank is not bounded by recursion.
     """
     n = lattice.n
     diag = lattice.diag
     streams = {a: ([], _fincke_pohst(diag, a)) for a in set(diag)}
+    last = n - 1
+    counted = None  # the last depth's set, once it walks
 
     rows: list = [None] * n
     mrows: list = [None] * n
@@ -280,11 +438,23 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
         while True:
             if k < len(vecs):
                 v = vecs[k]
-            else:
+            elif d < last or len(vecs) < _WALK_AFTER:
                 v = next(source, None)
                 if v is None:
                     break
                 vecs.append(v)
+            else:
+                # the next passing vector by rank, charged the candidates
+                # the scan would examine to reach it
+                if counted is None:
+                    counted = _CountedSet(diag, diag[last])
+                pairings = ((mrows[j], -1 if j == d - 1 else 0) for j in range(d))
+                rank, v = counted.first(k, pairings)
+                steps -= rank - k + (v is not None)
+                if steps < 0:
+                    raise _SearchCapped
+                k = rank + 1
+                break
             k += 1
             steps -= 1
             if steps < 0:
@@ -350,7 +520,7 @@ class TraceSearch:
     traces: tuple[int, ...] | None
 
 
-def orthogonal_group(lattice: IntersectionLattice, cap: int = DEFAULT_GROUP_CAP) -> IsometryGroup:
+def orthogonal_group(lattice: IntersectionLattice, cap: int = DEFAULT_CAP) -> IsometryGroup:
     """Enumerate O_Z(M) = {A : A M A^T = M}, canonically ordered.
 
     Stops with complete=False once the search examines more than cap
@@ -368,7 +538,7 @@ def orthogonal_group(lattice: IntersectionLattice, cap: int = DEFAULT_GROUP_CAP)
 
 
 def find_isometry_with_trace(
-    lattice: IntersectionLattice, trace: int, cap: int = DEFAULT_GROUP_CAP
+    lattice: IntersectionLattice, trace: int, cap: int = DEFAULT_CAP
 ) -> TraceSearch:
     """Search O_Z(M) for an element of the given trace.
 

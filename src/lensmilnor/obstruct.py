@@ -47,14 +47,8 @@ from .contact import (
     zero_vector,
 )
 from .contfrac import CFExpansion, LensSpace, expand, q_squared_is_one
-from .errors import InvalidInputError, ResultTooLargeError, check_cap, check_int
-from .lattice import (
-    DEFAULT_GROUP_CAP,
-    Isometry,
-    find_isometry_with_trace,
-    gram,
-    weyl_witness,
-)
+from .errors import DEFAULT_CAP, InvalidInputError, ResultTooLargeError, check_cap, check_int
+from .lattice import Isometry, find_isometry_with_trace, gram, weyl_witness
 
 # Theorem-layer obstructions with p up to this are re-checked by the search.
 _CROSS_VALIDATE_MAX_P = 200
@@ -220,7 +214,7 @@ def decide_theorem(p: int, q: int, rot: RotationVector) -> Verdict:
     return Verdict(None)
 
 
-def decide_full(p: int, q: int, rot: RotationVector, cap: int = DEFAULT_GROUP_CAP) -> Verdict:
+def decide_full(p: int, q: int, rot: RotationVector, cap: int = DEFAULT_CAP) -> Verdict:
     """decide_theorem plus the trace -1 search on inconclusive cases.
 
     The search runs with at most _QUICK_SEARCH_STEPS steps first; when
@@ -284,7 +278,7 @@ def evaluate_one(
     q: int,
     rot: RotationVector,
     theorem_only: bool = False,
-    cap: int = DEFAULT_GROUP_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> Record:
     """Full record (class, residue, verdict) for one structure."""
     # Both deciders validate (p, q) against rot.coeffs first.
@@ -300,7 +294,7 @@ def _evaluate_or_error(
     q: int,
     rot: RotationVector,
     theorem_only: bool = False,
-    cap: int = DEFAULT_GROUP_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> Record:
     """evaluate_one, with a failure (including the internal error of a
     theorem contradicted by the enumeration) turned into a record with
@@ -318,7 +312,7 @@ def scan(
     p_max: int,
     rot_zero_only: bool = False,
     all_even_only: bool = False,
-    cap: int = DEFAULT_GROUP_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> Iterator[Record]:
     """Records for every coprime (p, q) with 2 <= p <= p_max, in canonical
     order: p ascending, q ascending, structures in enumeration order.

@@ -404,16 +404,22 @@ def test_acceptance_10_scan_output_is_deterministic(capfdbinary):
     first = capfdbinary.readouterr().out
     code_second = run(["scan", "--pmax", "50", "--format", "json"])
     second = capfdbinary.readouterr().out
+    code_zero = run(["scan", "--pmax", "100", "--rot-zero-only", "--format", "json"])
+    zero = capfdbinary.readouterr().out
     elapsed = time.perf_counter() - start
     total = time.perf_counter() - _SUITE_START
     capped = first.count(b'"complete":false')
-    # The frozen scan --pmax 50 bytes: 6,935 rows, 119 of them witnesses.
+    # The frozen scan --pmax 50 bytes: 6,935 rows, 119 of them witnesses;
+    # and the frozen scan --pmax 100 --rot-zero-only bytes.
     digest = hashlib.sha256(first).hexdigest()
+    zero_digest = hashlib.sha256(zero).hexdigest()
     ok = (
         code_first == 0
         and code_second == 0
+        and code_zero == 0
         and first == second
         and digest == "bd01d04e99bdced2312f231a4485b4df021181243f55d610aea4084ee7256506"
+        and zero_digest == "73fdf8608cc8b80dcb8ffdf723f20bc851bed8c1d8218134d3a6668fd39af51d"
         and len(first.splitlines()) > 1000
         and capped == 0
         and total < 300.0
@@ -422,6 +428,6 @@ def test_acceptance_10_scan_output_is_deterministic(capfdbinary):
         "scan-output-is-deterministic",
         ok,
         f"{len(first.splitlines())} records twice, byte-equal={first == second}, "
-        f"sha256 {digest[:8]}, "
+        f"sha256 {digest[:8]}, rot-zero p <= 100 sha256 {zero_digest[:8]}, "
         f"{capped} capped, {elapsed:.2f}s; acceptance total {total:.2f}s < 300s",
     )

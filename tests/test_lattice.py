@@ -10,6 +10,7 @@ import gc
 import inspect
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -43,6 +44,7 @@ from verification import (
     norm,
     pairing,
     reversal,
+    scanned_answers,
     short_vectors_rational,
 )
 
@@ -158,18 +160,12 @@ def test_short_vectors_against_box_scan():
             assert got == sorted(got, key=canonical_vector_key)
 
 
-def test_short_vectors_match_rational_enumeration():
-    # A dense rational elimination, independent of the integer recursion,
-    # is the oracle: equal tuples, order included.
-    def enumerated(diag, target):
-        return tuple(short_vectors(IntersectionLattice(diag), target))
-
-    checked = 0
+def _enumeration_cases():
+    # (diag, target) pairs with an independently enumerated vector set
     for n in range(1, 5):
         for diag in itertools.product(range(2, 7), repeat=n):
             for target in range(1, 9):
-                assert enumerated(diag, target) == short_vectors_rational(diag, target)
-                checked += 1
+                yield diag, target
     for p in range(2, 201):
         for q in range(1, p):
             if math.gcd(p, q) != 1:
@@ -178,19 +174,58 @@ def test_short_vectors_match_rational_enumeration():
             if gerstein_prediction(IntersectionLattice(diag)) is None:
                 continue
             for a in sorted(set(diag)):
-                assert enumerated(diag, a) == short_vectors_rational(diag, a)
-                checked += 1
+                yield diag, a
     for k in range(1, 11):
         for diag in ((4,) + (2,) * k, (2,) * k + (4,)):
             for target in (2, 4):
-                assert enumerated(diag, target) == short_vectors_rational(diag, target)
-                checked += 1
+                yield diag, target
     for diag in [(5,), (2, 2), (3, 4), (4,) + (2,) * 6, (2,) * 5 + (6,), (3, 5, 3), (6, 2, 2, 4)]:
         for target in range(0, 9):
-            want = short_vectors_rational(diag, target) if target else ()
-            assert enumerated(diag, target) == want
-            checked += 1
+            yield diag, target
+
+
+def test_short_vectors_match_rational_enumeration():
+    # A dense rational elimination, independent of the integer recursion,
+    # is the oracle: equal tuples, order included.
+    checked = 0
+    for diag, target in _enumeration_cases():
+        want = short_vectors_rational(diag, target) if target else ()
+        assert tuple(short_vectors(IntersectionLattice(diag), target)) == want
+        checked += 1
     assert checked == 8445 + 7 * 9
+
+
+def _pinned(v):
+    # pairings that hold for v alone: coordinate j equals v[j]
+    return [(((j, 1),), x) for j, x in enumerate(v)]
+
+
+def test_counted_walk_ranks_every_short_vector():
+    # The walk counts the set short_vectors lists, and ranks each vector
+    # at its index: from any start rank, and through pairings that only
+    # that vector meets.
+    checked = 0
+    for diag, target in _enumeration_cases():
+        if not target:
+            continue
+        vecs = short_vectors(IntersectionLattice(diag), target)
+        walk = lattice_module._CountedSet(diag, target)
+        assert walk.size(0, 0, walk.top) == len(vecs)
+        for rank, v in enumerate(vecs):
+            assert walk.first(rank, ()) == (rank, v)
+            assert walk.first(0, _pinned(v)) == (rank, v)
+            assert walk.first(rank + 1, _pinned(v)) == (len(vecs), None)
+        assert walk.first(len(vecs), ()) == (len(vecs), None)
+        checked += 1
+    assert checked == 8445 + 7 * 8
+    # [2^15, 4] at norm 4 and [6, 2^18] at norm 6, counted from few states
+    for diag, target, total, states in [
+        ((2,) * 15 + (4,), 4, 10_952, 134),
+        ((6,) + (2,) * 18, 6, 548_492, 294),
+    ]:
+        walk = lattice_module._CountedSet(diag, target)
+        assert walk.size(0, 0, walk.top) == total
+        assert len(walk.sizes) == states
 
 
 def test_short_vectors_of_the_long_run_of_twos():
@@ -539,6 +574,78 @@ def test_no_stream_outlives_its_search():
     assert _live_streams() == 0
     assert not find_isometry_with_trace(gram((6,) + (2,) * 12), -1, 500).complete
     assert _live_streams() == 0
+
+
+def test_no_walk_memo_outlives_its_search(monkeypatch):
+    # The last depth's counted set, memo included, belongs to its search:
+    # held while the search is suspended, freed when it ends, capped or
+    # not.
+    built = []
+
+    class Tracked(lattice_module._CountedSet):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(lattice_module, "_CountedSet", Tracked)
+    search = lattice_module._iter_isometries(gram((2,) * 8 + (4,)), 10**6)
+    next(search)
+    assert len(built) == 1 and built[0]() is not None
+    assert len(built[0]().sizes) > 0
+    search.close()
+    del search
+    assert built[0]() is None
+    assert not find_isometry_with_trace(gram((2,) * 15 + (4,)), -1, 10_000).complete
+    assert len(built) == 2 and built[1]() is None
+
+
+def _assert_search_matches_the_scan(lat, caps):
+    want = scanned_answers(lat, caps, -1)
+    for cap in caps:
+        assert orthogonal_group(lat, cap) == want[cap][0], (lat.diag, cap)
+        assert find_isometry_with_trace(lat, -1, cap) == want[cap][1], (lat.diag, cap)
+
+
+def test_row_search_matches_the_scan_oracle():
+    # The counted walk must change no element, order, step charge or cap
+    # point: every lattice with p <= 45, against the search that reads
+    # every candidate of the last depth one at a time.
+    diags = {
+        expand(p, q).coeffs for p in range(2, 46) for q in range(1, p) if math.gcd(p, q) == 1
+    }
+    assert len(diags) == 627
+    for diag in sorted(diags):
+        _assert_search_matches_the_scan(IntersectionLattice(diag), (50, 1_000, 20_000))
+
+
+def test_row_search_matches_the_scan_oracle_on_runs_of_twos(monkeypatch):
+    # [2^k, a], [a, 2^k] and [2^k, a, 2]: the shapes whose last depth
+    # reads thousands of vectors, and their neighbours, at the scan's
+    # quick cap.  At 100,000 too where the last depth's set is large
+    # enough to walk; under any cap the others run the scan's own code.
+    walked = set()
+    real = lattice_module._CountedSet
+
+    def counted(diag, target):
+        walked.add(diag)
+        return real(diag, target)
+
+    monkeypatch.setattr(lattice_module, "_CountedSet", counted)
+    large = set()
+    for k in range(1, 17):
+        for a in range(3, 9):
+            for diag in ((2,) * k + (a,), (a,) + (2,) * k, (2,) * k + (a, 2)):
+                last = real(diag, diag[-1])
+                if last.size(0, 0, last.top) < lattice_module._WALK_AFTER:
+                    _assert_search_matches_the_scan(IntersectionLattice(diag), (10_000,))
+                else:
+                    large.add(diag)
+                    _assert_search_matches_the_scan(IntersectionLattice(diag), (10_000, 100_000))
+    # the large sets are those of [2^k, a] with even a, and each walked
+    assert walked == large
+    assert {(len(d) - 1, d[-1]) for d in large} == {
+        (k, a) for a in (4, 6, 8) for k in range(6, 17) if (k, a) not in {(6, 4), (6, 6), (7, 4)}
+    }
 
 
 def test_weyl_witness_lies_in_the_group():

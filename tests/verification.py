@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from lensmilnor import (
     CFExpansion,
@@ -20,6 +20,7 @@ from lensmilnor import (
     ResultTooLargeError,
     RotationVector,
     TightClass,
+    TraceSearch,
     as_expansion,
     cf_invariants,
     chern_residue,
@@ -27,7 +28,8 @@ from lensmilnor import (
     evaluate_one,
     expand,
 )
-from lensmilnor.contact import DEFAULT_STRUCTURE_CAP
+from lensmilnor.errors import DEFAULT_CAP
+from lensmilnor.lattice import _fincke_pohst
 
 
 def slot_values(a: int) -> tuple[int, ...]:
@@ -192,7 +194,7 @@ def lemma_bounds(rot: RotationVector) -> BoundReport:
     )
 
 
-def check_c1_theorem(coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_STRUCTURE_CAP) -> bool:
+def check_c1_theorem(coeffs: CFExpansion | Iterable[int], cap: int = DEFAULT_CAP) -> bool:
     """Verify on one expansion that the residue vanishes only for r = 0.
 
     Exhausts all structures (capped) and checks residue == 0 iff r == 0.
@@ -413,3 +415,94 @@ def short_vectors_rational(diag: tuple[int, ...], target: int) -> tuple[tuple[in
     if target > 0:
         descend(n - 1, Fraction(target))
     return tuple(sorted(results, key=canonical_vector_key))
+
+
+def scanned_isometries(
+    lattice: IntersectionLattice, cap: int
+) -> Iterator[tuple[int, Isometry | None]]:
+    """The row search with no counted walk: every depth reads its
+    candidates one at a time from the short-vector stream, the last one
+    too.  The oracle for the library's search.
+
+    Yields (steps charged so far, element) per element, then (steps
+    charged in all, None) once the group is exhausted; stops silently
+    once more than cap steps are needed.  An element comes within any
+    cap at least its count, and the search completes within any cap at
+    least the final count, so one run answers every smaller cap.
+    """
+    n = lattice.n
+    diag = lattice.diag
+    streams = {a: ([], _fincke_pohst(diag, a)) for a in set(diag)}
+
+    rows: list = [None] * n
+    mrows: list = [None] * n
+    resume = [0] * n
+    used = 0
+    d = 0
+    while d >= 0:
+        vecs, source = streams[diag[d]]
+        adjacent = mrows[d - 1] if d else ()
+        older = mrows[d - 2 :: -1] if d > 1 else ()
+        k = resume[d]
+        while True:
+            if k < len(vecs):
+                v = vecs[k]
+            else:
+                v = next(source, None)
+                if v is None:
+                    break
+                vecs.append(v)
+            k += 1
+            used += 1
+            if used > cap:
+                return
+            if d:
+                s = 0
+                for i, y in adjacent:
+                    s += v[i] * y
+                if s != -1:
+                    continue
+                s = 0
+                for mr in older:
+                    for i, y in mr:
+                        s += v[i] * y
+                    if s:
+                        break
+                if s:
+                    continue
+            break
+        if v is None:
+            d -= 1
+            continue
+        resume[d] = k
+        rows[d] = v
+        if d + 1 == n:
+            yield used, Isometry(tuple(rows))
+        else:
+            mrows[d] = lattice.mrow(v)
+            d += 1
+            resume[d] = 0
+    yield used, None
+
+
+def scanned_answers(
+    lattice: IntersectionLattice, caps: Iterable[int], trace: int
+) -> dict[int, tuple[IsometryGroup, TraceSearch]]:
+    """(orthogonal_group(lattice, cap), find_isometry_with_trace(lattice,
+    trace, cap)) for each cap, from one run of the scan-only search."""
+    caps = sorted(caps)
+    log = list(scanned_isometries(lattice, caps[-1]))
+    total = log.pop()[0] if log and log[-1][1] is None else None
+    answers = {}
+    for cap in caps:
+        elements = tuple(iso for used, iso in log if used <= cap)
+        complete = total is not None and total <= cap
+        witness = next((iso for iso in elements if iso.trace == trace), None)
+        if witness is not None:
+            search = TraceSearch(witness=witness, complete=True, traces=None)
+        elif complete:
+            search = TraceSearch(None, True, tuple(sorted(iso.trace for iso in elements)))
+        else:
+            search = TraceSearch(None, False, None)
+        answers[cap] = (IsometryGroup(elements, complete), search)
+    return answers

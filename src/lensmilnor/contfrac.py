@@ -75,9 +75,6 @@ class CFExpansion:
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
 
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
     @cached_property
     def invariants(self) -> CFInvariants:
         """Weights mu and p; see cf_invariants."""

@@ -32,14 +32,16 @@ are all known, so at most two vectors pass, but a plain scan reads the
 whole set to find them, on every visit: 10,952 norm-4 vectors for
 [2^15, 4].  A Fincke-Pohst subtree (Math. Comp. 44, 1985) depends only
 on its state (level, previous coordinate, scaled remainder), so the
-search counts the last row's set instead, with subtree sizes memoized by
-state (134 states for those 10,952 vectors).  Once the last depth has
-512 vectors in its list, it continues past the end by a counted walk: a
-subtree is charged by its size, unvisited, when it lies before the start
-rank or its prefix already breaks a pairing whose support it fixes, and
-the walk descends only into the others.  The row is charged the
-candidates the scan would have examined, so the steps, elements and cap
-point are the scan's.
+search counts the last row's set instead.  Once the last depth has 512
+vectors in its list, the search builds that set's tree in one pass:
+level by level, each distinct state keeps its child states, and then,
+leaves up, each state is sized by the sum of its children (134 states
+for those 10,952 vectors).  The last depth then continues past the end
+by a counted walk: a subtree is charged by its size, unvisited, when it
+lies before the start rank or its prefix already breaks a pairing whose
+support it fixes, and the walk descends only into the others.  The row
+is charged the candidates the scan would have examined, so the steps,
+elements and cap point are the scan's.
 
 Canonical order, used everywhere vectors or matrices are listed: each
 coordinate is ranked by magnitude with the negative value first
@@ -179,17 +181,6 @@ def _reversed_minors(diag: tuple[int, ...]) -> list[int]:
     return m
 
 
-def _last_coordinates(c: int, r: int, mk: int) -> list[int]:
-    """The values of the last coordinate that leave remainder 0, in
-    canonical order, when r^2 is the whole bound: only t = mk x - c =
-    +-r does.  _fincke_pohst inlines these lines: a call per leaf costs
-    orthogonal_group ~5% on the lattices of gerstein_autgroup."""
-    ends = [(c + t) // mk for t in ((-r, r) if r else (0,)) if (c + t) % mk == 0]
-    if len(ends) == 2 and -ends[0] > ends[1]:
-        ends.reverse()  # canonical: the smaller magnitude first
-    return ends
-
-
 def _fincke_pohst(diag: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
     """Yield the vectors of norm target (> 0) in canonical order, one at
     a time, so a reader that stops early leaves the rest unenumerated.
@@ -264,63 +255,42 @@ class _CountedSet:
     counted instead of listed.
 
     A state (i, x_{i-1}, s) is a Fincke-Pohst subtree: the level, the
-    coordinate before it and the scaled remainder.  sizes maps each
-    state met so far to the number of vectors below it; it lives as long
-    as the object, which a row search owns.
+    coordinate before it and the scaled remainder.  The tree is built
+    whole, once, level by level: children maps each distinct state of
+    levels 0..n-1 to its child states in canonical order, and a vector
+    ends in a leaf (n, x_{n-1}, 0).  Then, leaves up, sizes gives each
+    state the number of vectors below it, 1 for a leaf.  Both live as
+    long as the object, which a row search owns.
     """
 
     def __init__(self, diag: tuple[int, ...], target: int) -> None:
-        self.n = len(diag)
-        self.m = _reversed_minors(diag)
-        self.top = self.m[-1] * target
-        self.sizes: dict[tuple[int, int, int], int] = {}
-
-    def _children(self, i: int, xp: int, s: int) -> list[tuple[int, int]]:
-        """(x_i, remainder for level i + 1) for each candidate at level i,
-        in canonical order; at the last level only the ones that end a
-        vector, with remainder 0."""
-        m = self.m
-        k = self.n - i
-        mk = m[k]
-        c = m[k - 1] * xp
-        bound = m[k - 1] * s
-        r = math.isqrt(bound)
-        if k == 1:
-            return [(xi, 0) for xi in _last_coordinates(c, r, mk)] if r * r == bound else []
-        out = []
-        for xi in _canonical_range(-((r - c) // mk), (c + r) // mk):
-            t = mk * xi - c
-            out.append((xi, (bound - t * t) // mk))
-        return out
-
-    def size(self, i: int, xp: int, s: int) -> int:
-        """The number of vectors below the state, memoized for it and for
-        every state under it.  An explicit stack of levels, so the rank
-        is not bounded by recursion."""
-        n = self.n
-        sizes = self.sizes
-        root = (i, xp, s)
-        if root in sizes:
-            return sizes[root]
-        stack = [(root, iter(self._children(*root)), [0])]
-        while stack:
-            state, todo, total = stack[-1]
-            for xi, rest in todo:
-                child = (state[0] + 1, xi, rest)
-                if child[0] == n:
-                    total[0] += 1
-                    continue
-                got = sizes.get(child)
-                if got is None:
-                    stack.append((child, iter(self._children(*child)), [0]))
-                    break
-                total[0] += got
-            else:
-                stack.pop()
-                sizes[state] = total[0]
-                if stack:
-                    stack[-1][2][0] += total[0]
-        return sizes[root]
+        n = self.n = len(diag)
+        m = _reversed_minors(diag)
+        self.root = (0, 0, m[n] * target)
+        children: dict[tuple[int, int, int], list] = {}
+        level = {self.root}
+        for i in range(n):
+            k = n - i
+            mk = m[k]
+            below: set[tuple[int, int, int]] = set()
+            for state in level:
+                _, xp, s = state
+                c = m[k - 1] * xp
+                bound = m[k - 1] * s
+                r = math.isqrt(bound)
+                kept = children[state] = []
+                for xi in _canonical_range(-((r - c) // mk), (c + r) // mk):
+                    t = mk * xi - c
+                    child = (i + 1, xi, (bound - t * t) // mk)
+                    if k > 1 or not child[2]:  # the last level keeps ends only
+                        kept.append(child)
+                below.update(kept)
+            level = below
+        sizes = dict.fromkeys(level, 1)
+        for state, kept in reversed(children.items()):  # deepest level first
+            sizes[state] = sum(map(sizes.__getitem__, kept))
+        self.children = children
+        self.sizes = sizes
 
     def first(
         self, start: int, pairings: Iterable[tuple[tuple[tuple[int, int], ...], int]]
@@ -330,46 +300,41 @@ class _CountedSet:
         pairings; (total count, None) when no such vector exists.
 
         A pairing is fixed once the coordinates up to the last index of
-        M w are.  A subtree is charged by its size, without a visit, when
-        it lies wholly before start or its prefix already breaks a fixed
-        pairing; the walk descends only into the others.
+        M w are.  A child is skipped by its size, without a visit, when
+        it holds no vector, lies wholly before start or its prefix
+        already breaks a fixed pairing; the walk descends only into the
+        others, and returns at the first leaf it reaches.
         """
         n = self.n
+        children = self.children
+        sizes = self.sizes
         fixed: dict[int, list] = {}
         for terms, want in pairings:
             fixed.setdefault(terms[-1][0], []).append((terms, want))
         x = [0] * n
         todo: list = [None] * n
-        todo[0] = iter(self._children(0, 0, self.top))
+        todo[0] = iter(children[self.root])
         rank = 0
         i = 0
         while i >= 0:
             checks = fixed.get(i, ())
-            for xi, rest in todo[i]:
-                x[i] = xi
-                broken = False
-                for terms, want in checks:
-                    s = 0
-                    for j, y in terms:
-                        s += x[j] * y
-                    if s != want:
-                        broken = True
-                        break
-                if i + 1 == n:
-                    if rank >= start and not broken:
+            for child in todo[i]:
+                x[i] = child[1]
+                size = sizes[child]
+                if (
+                    size
+                    and rank + size > start
+                    and all(sum(x[j] * y for j, y in terms) == want for terms, want in checks)
+                ):
+                    if i + 1 == n:
                         return rank, tuple(x)
-                    rank += 1
-                    continue
-                size = self.size(i + 1, xi, rest)
-                if broken or rank + size <= start or not size:
-                    rank += size
-                    continue
-                break  # this subtree may hold the vector: descend
+                    break  # this subtree may hold the vector: descend
+                rank += size
             else:
                 i -= 1
                 continue
             i += 1
-            todo[i] = iter(self._children(i, xi, rest))
+            todo[i] = iter(children[child])
         return rank, None
 
 
@@ -411,8 +376,9 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     known, so at most two vectors pass; the walk returns the next one
     and its rank, and the depth is charged the candidates the scan would
     have examined to reach it (or the rest of the set).  Elements, order
-    and cap point stay those of the plain scan.  The walk's memo is
-    built on first use and freed with the search.
+    and cap point stay those of the plain scan.  The counted tree is
+    built whole, in one pass, the first time the last depth walks, and
+    is freed with the search.
 
     Depth-first over the rows in one loop, with the index of the next
     candidate kept per depth, so the rank is not bounded by recursion.

@@ -224,8 +224,10 @@ def decide_full(p: int, q: int, rot: RotationVector, cap: int = DEFAULT_CAP) -> 
 
     Theorem-layer obstructions with p <= 200 are cross-checked against
     the enumeration (a completed search finding a trace -1 element there
-    would mean an internal error, and raises).
+    would mean an internal error, and raises).  A bad cap raises
+    InvalidInputError whichever layer would decide.
     """
+    check_cap(cap)
     verdict = decide_theorem(p, q, rot)
 
     if verdict.reason in _THEOREM_REASONS and p <= _CROSS_VALIDATE_MAX_P:

@@ -240,7 +240,7 @@ def test_tail_weight_growth_wide_range():
             if len(exp) < 2:
                 continue
             inv = cf_invariants(exp)
-            assert exp[-1] * inv.mu[-1] - exp[-2] * inv.mu[-2] > 0
+            assert exp.coeffs[-1] * inv.mu[-1] - exp.coeffs[-2] * inv.mu[-2] > 0
 
 
 def test_residue_zero_forces_zero_sum():

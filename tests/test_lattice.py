@@ -210,7 +210,7 @@ def test_counted_walk_ranks_every_short_vector():
             continue
         vecs = short_vectors(IntersectionLattice(diag), target)
         walk = lattice_module._CountedSet(diag, target)
-        assert walk.size(0, 0, walk.top) == len(vecs)
+        assert walk.sizes[walk.root] == len(vecs)
         for rank, v in enumerate(vecs):
             assert walk.first(rank, ()) == (rank, v)
             assert walk.first(0, _pinned(v)) == (rank, v)
@@ -218,14 +218,26 @@ def test_counted_walk_ranks_every_short_vector():
         assert walk.first(len(vecs), ()) == (len(vecs), None)
         checked += 1
     assert checked == 8445 + 7 * 8
-    # [2^15, 4] at norm 4 and [6, 2^18] at norm 6, counted from few states
+    # [2^15, 4] at norm 4 and [6, 2^18] at norm 6, counted from few
+    # states: the tree is built whole, and has exactly the states below
+    # its root, dead prefixes included
     for diag, target, total, states in [
         ((2,) * 15 + (4,), 4, 10_952, 134),
         ((6,) + (2,) * 18, 6, 548_492, 294),
     ]:
         walk = lattice_module._CountedSet(diag, target)
-        assert walk.size(0, 0, walk.top) == total
-        assert len(walk.sizes) == states
+        assert walk.sizes[walk.root] == total
+        assert len(walk.children) == states
+    # [2^12, 7] at norm 7: 26 vectors under many dead prefixes, each
+    # ranked at its index
+    diag = (2,) * 12 + (7,)
+    vecs = short_vectors(IntersectionLattice(diag), 7)
+    walk = lattice_module._CountedSet(diag, 7)
+    assert walk.sizes[walk.root] == len(vecs) == 26
+    assert len(walk.children) == 205
+    for rank, v in enumerate(vecs):
+        assert walk.first(rank, ()) == (rank, v)
+        assert walk.first(0, _pinned(v)) == (rank, v)
 
 
 def test_short_vectors_of_the_long_run_of_twos():
@@ -577,7 +589,7 @@ def test_no_stream_outlives_its_search():
 
 
 def test_no_walk_memo_outlives_its_search(monkeypatch):
-    # The last depth's counted set, memo included, belongs to its search:
+    # The last depth's counted set, tree included, belongs to its search:
     # held while the search is suspended, freed when it ends, capped or
     # not.
     built = []
@@ -636,7 +648,7 @@ def test_row_search_matches_the_scan_oracle_on_runs_of_twos(monkeypatch):
         for a in range(3, 9):
             for diag in ((2,) * k + (a,), (a,) + (2,) * k, (2,) * k + (a, 2)):
                 last = real(diag, diag[-1])
-                if last.size(0, 0, last.top) < lattice_module._WALK_AFTER:
+                if last.sizes[last.root] < lattice_module._WALK_AFTER:
                     _assert_search_matches_the_scan(IntersectionLattice(diag), (10_000,))
                 else:
                     large.add(diag)

@@ -250,6 +250,21 @@ def test_full_decision_capped():
     assert is_isometry_dense(lat.diag, v.witness)
 
 
+def test_full_decision_checks_its_cap():
+    # A bad cap raises before any layer decides: for the Chern-nonzero
+    # structures of 7/3, the registry's 6/1 and the searched 12/7.
+    structures = [(7, 3, rot) for rot in enumerate_structures(expand(7, 3))]
+    assert [decide_full(*s).reason for s in structures] == [Reason.CHERN_NONZERO] * 2
+    structures += [(6, 1, _zero(6, 1)), (12, 7, _zero(12, 7))]
+    assert decide_full(6, 1, _zero(6, 1)).reason is Reason.REGISTRY_HIRZEBRUCH
+    assert decide_full(12, 7, _zero(12, 7)).reason is Reason.TRACE_WITNESS_EXISTS
+    for s in structures:
+        with pytest.raises(InvalidInputError, match="^cap must be positive, got 0$"):
+            decide_full(*s, cap=0)
+        with pytest.raises(InvalidInputError, match="^cap must be an integer, got True$"):
+            decide_full(*s, cap=True)
+
+
 def test_full_decision_passthrough(monkeypatch):
     # theorem-layer and registry verdicts survive decide_full unchanged
     v = decide_full(15, 4, _zero(15, 4))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import IO, Iterable, Sequence
 
 from .contact import RotationVector, chern_residue, classify_structure, enumerate_structures
-from .contfrac import LensSpace, expand
+from .contfrac import expand
 from .errors import DEFAULT_CAP, InvalidInputError, ResultTooLargeError, check_cap
 from .lattice import IntersectionLattice, orthogonal_group
 from .obstruct import Record, _evaluate_or_error, scan
@@ -188,15 +188,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class _Ctx:
-    fmt: str
-    cap: int
-    quiet: bool
-    strict: bool
-    out: IO[bytes]
-
-
 def _common_flags() -> argparse.ArgumentParser:
     par = _Parser(add_help=False)
     par.add_argument(
@@ -206,7 +197,7 @@ def _common_flags() -> argparse.ArgumentParser:
     par.add_argument(
         "--cap", type=int, default=argparse.SUPPRESS,
         help="bound on enumeration size and search work in every subcommand, "
-        "scan included (default 1000000)",
+        f"scan included (default {DEFAULT_CAP})",
     )
     par.add_argument(
         "--quiet", action="store_true", default=argparse.SUPPRESS,
@@ -220,12 +211,16 @@ def _common_flags() -> argparse.ArgumentParser:
 
 
 def _build_parser() -> _Parser:
-    common = _common_flags()
     parser = _Parser(
         prog="lensmilnor",
         description="Milnor-fiber boundary obstructions for tight lens spaces.",
-        parents=[common],
+        parents=[_common_flags()],
     )
+    # argparse shares a parent's actions, so these defaults would reach the
+    # subcommands too; those take a copy of their own, whose SUPPRESS
+    # defaults leave a flag given before the subcommand in place.
+    parser.set_defaults(format="table", cap=DEFAULT_CAP, quiet=False, strict=False)
+    common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_expand = sub.add_parser("expand", parents=[common], help="continued fraction of P/Q")
@@ -236,7 +231,7 @@ def _build_parser() -> _Parser:
         "structures", parents=[common], help="list the tight structures on L(P,Q)"
     )
     p_struct.add_argument("pq", metavar="P/Q")
-    p_struct.set_defaults(func=_cmd_structures)
+    p_struct.set_defaults(func=_cmd_structures, rot=None)
 
     p_chern = sub.add_parser(
         "chern", parents=[common], help="Chern-class residue of one structure"
@@ -282,8 +277,7 @@ def _parse_pq(text: str) -> tuple[int, int]:
         p, q = int(parts[0]), int(parts[1])
     except ValueError:
         raise InvalidInputError(f"expected integers in P/Q, got {text!r}") from None
-    space = LensSpace(p, q)
-    return space.p, space.q
+    return p, q
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -306,49 +300,49 @@ def _normalize_coeffs(values: tuple[int, ...]) -> tuple[int, ...]:
     return values
 
 
-def _emit(ctx: _Ctx, fields: Sequence[str], rows) -> bool:
+def _emit(ns, out: IO[bytes], fields: Sequence[str], rows) -> bool:
     """Write the header (csv and table, unless --quiet) and then the rows.
 
     The header goes out just before the first row, so an error raised
     while producing it leaves stdout empty.  Returns True when a row is
     capped (complete false) or an Error row.
     """
-    headerless = ctx.fmt == "json" or ctx.quiet
-    header = None if headerless else render(dict(zip(fields, fields)), ctx.fmt)
+    headerless = ns.format == "json" or ns.quiet
+    header = None if headerless else render(dict(zip(fields, fields)), ns.format)
     flagged = False
     for row in rows:
         if header is not None:
-            ctx.out.write(header)
+            out.write(header)
             header = None
         if row.get("complete") is False or row.get("verdict") == "Error":
             flagged = True
-        ctx.out.write(render(row, ctx.fmt))
+        out.write(render(row, ns.format))
     if header is not None:
-        ctx.out.write(header)
+        out.write(header)
     return flagged
 
 
-def _rotations(ns, ctx: _Ctx, exp) -> Iterable[RotationVector]:
+def _rotations(ns, exp) -> Iterable[RotationVector]:
     """The structure named by --rot, or every structure when it is absent."""
-    if getattr(ns, "rot", None) is not None:
+    if ns.rot is not None:
         return [RotationVector(exp, _parse_int_list(ns.rot, "--rot"))]
-    return enumerate_structures(exp, cap=ctx.cap)
+    return enumerate_structures(exp, cap=ns.cap)
 
 
-def _cmd_expand(ns, ctx: _Ctx) -> bool:
+def _cmd_expand(ns, out: IO[bytes]) -> bool:
     p, q = _parse_pq(ns.pq)
-    row = {"p": p, "q": q, "coeffs": tuple(expand(p, q))}
-    if ctx.fmt == "table":
+    row = {"p": p, "q": q, "coeffs": expand(p, q).coeffs}
+    if ns.format == "table":
         # The table form is the bare expansion.
-        ctx.out.write((_cell("coeffs", row["coeffs"], "table") + "\n").encode())
+        out.write((_cell("coeffs", row["coeffs"], "table") + "\n").encode())
         return False
-    return _emit(ctx, tuple(row), [row])
+    return _emit(ns, out, tuple(row), [row])
 
 
-_STRUCT_FIELDS = ("p", "q", "coeffs", "rotation", "tight_class", "chern")
+_STRUCT_FIELDS = _FIELDS[:6]
 
 
-def _cmd_structures(ns, ctx: _Ctx) -> bool:
+def _cmd_structures(ns, out: IO[bytes]) -> bool:
     """structures, and chern for the one structure given by --rot."""
     p, q = _parse_pq(ns.pq)
     exp = expand(p, q)
@@ -361,12 +355,12 @@ def _cmd_structures(ns, ctx: _Ctx) -> bool:
             "tight_class": classify_structure(rot).value,
             "chern": chern_residue(rot),
         }
-        for rot in _rotations(ns, ctx, exp)
+        for rot in _rotations(ns, exp)
     )
-    return _emit(ctx, _STRUCT_FIELDS, rows)
+    return _emit(ns, out, _STRUCT_FIELDS, rows)
 
 
-def _cmd_autgroup(ns, ctx: _Ctx) -> bool:
+def _cmd_autgroup(ns, out: IO[bytes]) -> bool:
     if ns.pq is None and ns.coeffs is None:
         raise InvalidInputError("autgroup needs P/Q or --coeffs")
     diag = None
@@ -374,16 +368,16 @@ def _cmd_autgroup(ns, ctx: _Ctx) -> bool:
         diag = _normalize_coeffs(_parse_int_list(ns.coeffs, "--coeffs"))
     if ns.pq is not None:
         p, q = _parse_pq(ns.pq)
-        expanded = tuple(expand(p, q))
+        expanded = expand(p, q).coeffs
         if diag is not None and diag != expanded:
             raise InvalidInputError(
                 f"{p}/{q} expands to {list(expanded)}, which disagrees "
                 f"with --coeffs {list(diag)}"
             )
         diag = expanded
-    group = orthogonal_group(IntersectionLattice(diag), cap=ctx.cap)
+    group = orthogonal_group(IntersectionLattice(diag), cap=ns.cap)
 
-    if ctx.fmt == "json":
+    if ns.format == "json":
         # One object for the whole group.
         obj = {
             "diag": diag,
@@ -391,45 +385,42 @@ def _cmd_autgroup(ns, ctx: _Ctx) -> bool:
             "complete": group.complete,
             "elements": [e.flatten() for e in group],
         }
-        ctx.out.write(render(obj, "json"))
+        out.write(render(obj, "json"))
         return not group.complete
-    if ctx.fmt == "table" and not ctx.quiet:
+    if ns.format == "table" and not ns.quiet:
         summary = (
             f"# diag {_cell('diag', diag, 'table')} order {group.order} "
             f"complete {_cell('complete', group.complete, 'table')}\n"
         )
-        ctx.out.write(summary.encode())
+        out.write(summary.encode())
     rows = (
         {"index": i, "trace": e.trace, "matrix": e.flatten()} for i, e in enumerate(group)
     )
-    _emit(ctx, ("index", "trace", "matrix"), rows)
+    _emit(ns, out, ("index", "trace", "matrix"), rows)
     return not group.complete
 
 
-def _emit_records(ctx: _Ctx, records) -> bool:
-    return _emit(ctx, _FIELDS, (vars(OutputRecord.from_record(rec)) for rec in records))
+def _emit_records(ns, out: IO[bytes], records) -> bool:
+    return _emit(ns, out, _FIELDS, (vars(OutputRecord.from_record(rec)) for rec in records))
 
 
-def _cmd_obstruct(ns, ctx: _Ctx) -> bool:
+def _cmd_obstruct(ns, out: IO[bytes]) -> bool:
     p, q = _parse_pq(ns.pq)
-    rots = _rotations(ns, ctx, expand(p, q))
-    return _emit_records(
-        ctx,
-        (
-            _evaluate_or_error(p, q, rot, theorem_only=ns.theorem_only, cap=ctx.cap)
-            for rot in rots
-        ),
+    records = (
+        _evaluate_or_error(p, q, rot, theorem_only=ns.theorem_only, cap=ns.cap)
+        for rot in _rotations(ns, expand(p, q))
     )
+    return _emit_records(ns, out, records)
 
 
-def _cmd_scan(ns, ctx: _Ctx) -> bool:
+def _cmd_scan(ns, out: IO[bytes]) -> bool:
     records = scan(
         ns.pmax,
         rot_zero_only=ns.rot_zero_only,
         all_even_only=ns.all_even_only,
-        cap=ctx.cap,
+        cap=ns.cap,
     )
-    return _emit_records(ctx, records)
+    return _emit_records(ns, out, records)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -444,17 +435,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    ctx = _Ctx(
-        fmt=getattr(ns, "format", "table"),
-        cap=getattr(ns, "cap", DEFAULT_CAP),
-        quiet=getattr(ns, "quiet", False),
-        strict=getattr(ns, "strict", False),
-        out=sys.stdout.buffer,
-    )
+    out = sys.stdout.buffer
     try:
-        check_cap(ctx.cap)
-        indeterminate = ns.func(ns, ctx)
-        ctx.out.flush()
+        check_cap(ns.cap)
+        indeterminate = ns.func(ns, out)
+        out.flush()
     except (InvalidInputError, ResultTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -465,7 +450,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    if ctx.strict and indeterminate:
+    if ns.strict and indeterminate:
         return 2
     return 0
 

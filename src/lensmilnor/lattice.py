@@ -96,9 +96,10 @@ class IntersectionLattice:
         """Matrix-vector product M v as its nonzero (index, value) pairs,
         using tridiagonality; v . M w is then sum(v[i] * y for i, y in
         mrow(w))."""
-        terms = zip(self.diag, v, (0, *v), (*v[1:], 0))
-        image = (a * x - left - right for a, x, left, right in terms)
-        return tuple((i, y) for i, y in enumerate(image) if y)
+        if len(v) != len(self.diag):
+            raise InvalidInputError(f"vector of length {len(v)} for a lattice of rank {self.n}")
+        terms = enumerate(zip(self.diag, v, (0, *v), (*v[1:], 0)))
+        return tuple((i, y) for i, (a, x, left, right) in terms if (y := a * x - left - right))
 
     def is_isometry(self, iso: "Isometry") -> bool:
         """Exact check of A M A^T = M."""

@@ -53,7 +53,8 @@ from .lattice import Isometry, find_isometry_with_trace, gram, weyl_witness
 # Theorem-layer obstructions with p up to this are re-checked by the search.
 _CROSS_VALIDATE_MAX_P = 200
 # Budget of the first, short trace -1 search; past it the Weyl-group
-# construction is tried before the search resumes with the whole cap.
+# construction is tried before a second search starts again from step 0
+# with the whole cap.
 _QUICK_SEARCH_STEPS = 10_000
 
 

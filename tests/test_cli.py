@@ -127,6 +127,22 @@ def test_global_flags_before_subcommand(capfdbinary):
     code, out, _ = _run(capfdbinary, ["--format", "json", "expand", "28/15"])
     assert code == 0
     assert out == b'{"p":28,"q":15,"coeffs":[2,8,2]}\n'
+    # Given on both sides of the subcommand, the later flag wins.
+    code, out, _ = _run(capfdbinary, ["--format", "json", "expand", "28/15", "--format", "csv"])
+    assert code == 0
+    assert out == b"p,q,coeffs\n28,15,[2;8;2]\n"
+    code, out, _ = _run(
+        capfdbinary, ["--cap", "3", "--strict", "autgroup", "--coeffs", "2,2", "--format", "json"]
+    )
+    assert code == 2
+    assert out == b'{"diag":[2,2],"order":0,"complete":false,"elements":[]}\n'
+    code, out, _ = _run(capfdbinary, ["--quiet", "--format", "csv", "structures", "8/5"])
+    assert code == 0
+    assert out == b"8,5,[2;3;2],[0;-1;0],UT,6\n8,5,[2;3;2],[0;1;0],UT,2\n"
+    code, out, err = _run(capfdbinary, ["--cap", "0", "expand", "28/15"])
+    assert code == 1
+    assert out == b""
+    assert err == b"error: cap must be positive, got 0\n"
 
 
 def test_structures(capfdbinary):
@@ -394,6 +410,8 @@ def test_help_exits_zero(capfdbinary):
     code, out, _ = _run(capfdbinary, ["--help"])
     assert code == 0
     assert b"expand" in out
+    # The help text wraps to the terminal width.
+    assert b"(default 1000000)" in b" ".join(out.split())
     code, out, _ = _run(capfdbinary, ["scan", "--help"])
     assert code == 0
     assert b"--pmax" in out

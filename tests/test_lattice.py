@@ -312,6 +312,14 @@ def test_mrow_is_the_sparse_dense_product():
             assert len(lat.mrow(v)) <= 4
 
 
+def test_mrow_rejects_a_vector_of_the_wrong_length():
+    lat = gram([2, 4])
+    assert lat.mrow((1, 0)) == ((0, 2), (1, -1))
+    for v in [(1,), (1, 0, 5)]:
+        with pytest.raises(InvalidInputError):
+            lat.mrow(v)
+
+
 def test_is_isometry_matches_the_dense_check():
     # Group elements pass both checks; changing one entry by +-1 gets the
     # same answer from both.

@@ -16,6 +16,15 @@ nested matrices.  Two shapes are format-specific: the table form of
 expand is the bare expansion, and autgroup emits its json as one object
 for the whole group and starts its table with a "# diag" summary line.
 
+A line is its row's cells, joined and framed: a json cell is "key":value,
+a csv or table cell the text of one value.  The obstruct and scan
+records are written by emit_record, which formats only a record's own
+cells (rotation, tight_class, chern) and takes the pair's cells (p, q,
+coeffs) and the verdict's (verdict to complete) from the previous record
+of the same format when their values render alike: every structure of a
+pair shares the first, and most records of a census the second.  The
+bytes are render()'s.
+
 Exit codes: 0 ok, 1 invalid input, 2 under --strict when any result is
 capped/indeterminate or an Error row, 141 (128 + SIGPIPE) when the
 reader closes stdout early.
@@ -26,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
@@ -110,7 +120,7 @@ _FIELDS = tuple(f.name for f in dataclass_fields(OutputRecord))
 
 
 def _bracketed(values, sep: str) -> str:
-    return "[" + sep.join(str(v) for v in values) + "]"
+    return "[" + sep.join(map(str, values)) + "]"
 
 
 # Fields whose tuple value is a row-major flattened square matrix.
@@ -142,11 +152,12 @@ def _cell(field: str, value, fmt: str) -> str:
 # passes (ensure_ascii on), and writes the same bytes.  Rows are acyclic,
 # so it keeps no markers for the circular-reference check.
 _encoder = json.JSONEncoder(separators=(",", ":"))
+_escape = json.encoder.encode_basestring_ascii
 if json.encoder.c_make_encoder is not None:
     _iterencode = json.encoder.c_make_encoder(
         None,
         _encoder.default,
-        json.encoder.encode_basestring_ascii,
+        _escape,
         _encoder.indent,
         _encoder.key_separator,
         _encoder.item_separator,
@@ -154,29 +165,138 @@ if json.encoder.c_make_encoder is not None:
         _encoder.skipkeys,
         _encoder.allow_nan,
     )
-
-    def _json_encode(row: dict) -> str:
-        return "".join(_iterencode(row, 0))
-
 else:
-    _json_encode = _encoder.encode
+
+    def _iterencode(value, _current_indent_level):
+        return _encoder.iterencode(value)
 
 
-def render(row: dict, fmt: str) -> bytes:
-    """One output line for one row of ordered field -> value pairs."""
+def _json_encode(value) -> str:
+    return "".join(_iterencode(value, 0))
+
+
+def _cells(row: dict, fmt: str) -> str:
+    """The cells of a row's fields, joined as a line of the format joins
+    them; a JSON cell is "key":value."""
     if fmt == "json":
-        return (_json_encode(row) + "\n").encode()
+        return _json_encode(row)[1:-1]
     if fmt == "csv":
-        return (",".join(_cell(f, v, fmt) for f, v in row.items()) + "\n").encode()
+        return ",".join(_cell(f, v, fmt) for f, v in row.items())
     if fmt == "table":
-        cells = (_cell(f, v, fmt).ljust(_WIDTHS.get(f, 10)) for f, v in row.items())
-        return ("  ".join(cells).rstrip() + "\n").encode()
+        return "  ".join(_cell(f, v, fmt).ljust(_WIDTHS.get(f, 10)) for f, v in row.items())
     raise InvalidInputError(f"unknown format {fmt!r}")
 
 
+# What joins two runs of cells within a line.
+_SEP = {"json": ",", "csv": ",", "table": "  "}
+
+
+def _line(cells: str, fmt: str) -> bytes:
+    """The output line of a row's joined cells."""
+    if fmt == "json":
+        return ("{" + cells + "}\n").encode()
+    if fmt == "table":
+        cells = cells.rstrip()
+    return (cells + "\n").encode()
+
+
+def render(row: dict, fmt: str) -> bytes:
+    """One output line for one row of ordered field -> value pairs: its
+    cells, joined and framed as the format writes a line.  Nothing is
+    cached; emit_record writes the same bytes for a record's fields."""
+    return _line(_cells(row, fmt), fmt)
+
+
+# A record's fields in three groups: the pair's, shared by every
+# structure of a pair; the structure's own; and the verdict's, shared by
+# most records of a census.
+_PAIR_FIELDS, _OWN_FIELDS, _VERDICT_FIELDS = _FIELDS[:3], _FIELDS[3:6], _FIELDS[6:]
+_shared_values = operator.itemgetter(*_PAIR_FIELDS, *_VERDICT_FIELDS)
+_own_values = operator.itemgetter(*_OWN_FIELDS)
+
+# Per format, the last record line's pair and verdict values with their
+# joined cells: one (values, pair cells, verdict cells) tuple, replaced
+# whole, so a reader never pairs one record's values with another's
+# text, and memory stays O(1) on any scan.  It saves work only: no line
+# depends on what it holds.  Record fields hold immutable values, so the
+# same object renders alike every time.
+_last_cells: dict[str, tuple] = {}
+
+# Types whose equal values render alike in every format.  Equal floats
+# may not (0.0 and -0.0), so they never match.
+_PLAIN = (int, str, bool, type(None))
+
+
+def _same(a, b) -> bool:
+    """a and b render alike: the same object, or equal values of the
+    same types all the way down (True == 1, but renders as true)."""
+    if a is b:
+        return True
+    if type(a) is not type(b) or a != b:
+        return False
+    if type(a) is tuple:
+        return all(map(operator.is_, a, b)) or all(map(_same, a, b))
+    return type(a) in _PLAIN
+
+
+def _refresh(fmt: str, shared: tuple, last: tuple | None) -> tuple:
+    """The entry of fmt for a record with these pair and verdict values,
+    stored in place of last: a group keeps last's cells when its values
+    render alike, and is rendered afresh otherwise."""
+    n = len(_PAIR_FIELDS)
+    pair, verdict = shared[:n], shared[n:]
+    if last is not None and _same(pair, last[0][:n]):
+        pair_cells = last[1]
+    elif fmt == "json" and type(pair[0]) is int and type(pair[1]) is int:
+        # As the encoder writes two ints, with only coeffs encoded: one
+        # encoder call on the three cells as a dict costs twice as much.
+        pair_cells = f'"p":{pair[0]!r},"q":{pair[1]!r},"coeffs":{_json_encode(pair[2])}'
+    else:
+        pair_cells = _cells(dict(zip(_PAIR_FIELDS, pair)), fmt)
+    if last is not None and _same(verdict, last[0][n:]):
+        verdict_cells = last[2]
+    else:
+        verdict_cells = _cells(dict(zip(_VERDICT_FIELDS, verdict)), fmt)
+    entry = (shared, pair_cells, verdict_cells)
+    _last_cells[fmt] = entry
+    return entry
+
+
+def _record_line(row: dict, fmt: str) -> bytes:
+    """render(row, fmt) for the fields of an OutputRecord, with the
+    pair's and the verdict's cells reused from the previous record when
+    their values render alike."""
+    shared = _shared_values(row)
+    last = _last_cells.get(fmt)
+    # The same objects as last time render alike; anything else is
+    # compared by value.
+    if last is None or not all(map(operator.is_, shared, last[0])):
+        last = _refresh(fmt, shared, last)
+    rotation, tight_class, chern = _own_values(row)
+    if fmt == "json" and type(tight_class) is str and type(chern) is int:
+        # render's line, with the str and the int written as the encoder
+        # writes them and only the rotation encoded: one encoder call on
+        # the three cells as a dict costs more than the rest of the line.
+        return (
+            f'{{{last[1]},"rotation":{"".join(_iterencode(rotation, 0))},'
+            f'"tight_class":{_escape(tight_class)},"chern":{chern!r},{last[2]}}}\n'
+        ).encode()
+    own = _cells(dict(zip(_OWN_FIELDS, (rotation, tight_class, chern))), fmt)
+    return _line(_SEP[fmt].join((last[1], own, last[2])), fmt)
+
+
 def emit_record(record: OutputRecord, format: str) -> bytes:
-    """One output line for one record; identical input, identical bytes."""
-    return render(vars(record), format)
+    """One output line for one record; the bytes of
+    render(vars(record), format).
+
+    Only rotation, tight_class and chern are formatted on every call.
+    The cells of p, q and coeffs, and those of verdict, reason, witness,
+    group_order and complete, are reused from the previous call in the
+    same format when their values are equal and of the same types
+    (True == 1 renders as true), and formatted afresh otherwise.  One
+    entry per format is kept, whatever the number of records.
+    """
+    return _record_line(vars(record), format)
 
 
 class _UsageError(Exception):
@@ -300,8 +420,9 @@ def _normalize_coeffs(values: tuple[int, ...]) -> tuple[int, ...]:
     return values
 
 
-def _emit(ns, out: IO[bytes], fields: Sequence[str], rows) -> bool:
-    """Write the header (csv and table, unless --quiet) and then the rows.
+def _emit(ns, out: IO[bytes], fields: Sequence[str], rows, line=render) -> bool:
+    """Write the header (csv and table, unless --quiet) and then the rows,
+    each as line(row, format).
 
     The header goes out just before the first row, so an error raised
     while producing it leaves stdout empty.  Returns True when a row is
@@ -316,7 +437,7 @@ def _emit(ns, out: IO[bytes], fields: Sequence[str], rows) -> bool:
             header = None
         if row.get("complete") is False or row.get("verdict") == "Error":
             flagged = True
-        out.write(render(row, ns.format))
+        out.write(line(row, ns.format))
     if header is not None:
         out.write(header)
     return flagged
@@ -401,7 +522,8 @@ def _cmd_autgroup(ns, out: IO[bytes]) -> bool:
 
 
 def _emit_records(ns, out: IO[bytes], records) -> bool:
-    return _emit(ns, out, _FIELDS, (vars(OutputRecord.from_record(rec)) for rec in records))
+    rows = (vars(OutputRecord.from_record(rec)) for rec in records)
+    return _emit(ns, out, _FIELDS, rows, _record_line)
 
 
 def _cmd_obstruct(ns, out: IO[bytes]) -> bool:

@@ -98,8 +98,14 @@ class IntersectionLattice:
         mrow(w))."""
         if len(v) != len(self.diag):
             raise InvalidInputError(f"vector of length {len(v)} for a lattice of rank {self.n}")
-        terms = enumerate(zip(self.diag, v, (0, *v), (*v[1:], 0)))
-        return tuple((i, y) for i, (a, x, left, right) in terms if (y := a * x - left - right))
+        out = []
+        left = 0
+        for i, (a, x, right) in enumerate(zip(self.diag, v, (*v[1:], 0))):
+            y = a * x - left - right
+            if y:
+                out.append((i, y))
+            left = x
+        return tuple(out)
 
     def is_isometry(self, iso: "Isometry") -> bool:
         """Exact check of A M A^T = M."""

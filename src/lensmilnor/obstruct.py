@@ -177,18 +177,29 @@ def _checked(p: int, q: int, rot: RotationVector) -> CFExpansion:
     return coeffs
 
 
-def decide_theorem(p: int, q: int, rot: RotationVector) -> Verdict:
+def decide_theorem(
+    p: int, q: int, rot: RotationVector, *, chern: int | None = None
+) -> Verdict:
     """Chern gate, registry, and theorem layer; no group enumeration.
+
+    chern, when given, is chern_residue(rot) as the caller computed it.
+    The gate holds it against the vector: the residue vanishes exactly
+    at r = 0, so a value that says otherwise raises RuntimeError.
 
     Returns Inconclusive with reason None when the theorem layer is
     silent (some x_i = 1 with n >= 3, or q^2 = 1 mod p with n odd).
     """
     coeffs = _checked(p, q, rot)
+    if chern is None:
+        chern = chern_residue(rot)
 
-    if chern_residue(rot) != 0:
+    # The residue vanishes exactly at r = 0 (which forces every a_i
+    # even); anything else here would contradict the vanishing theorem
+    # the gate encodes.
+    if chern != 0:
+        if not any(rot.r):
+            raise RuntimeError(f"internal error: residue {chern} for {p}/{q} with r = 0")
         return _CHERN_NONZERO
-    # Residue 0 forces r = 0 (and hence every a_i even); anything else
-    # here would contradict the vanishing theorem the gate encodes.
     if not rot.is_zero:
         raise RuntimeError(f"internal error: zero residue for {p}/{q} with r = {rot.r}")
 
@@ -215,8 +226,11 @@ def decide_theorem(p: int, q: int, rot: RotationVector) -> Verdict:
     return Verdict(None)
 
 
-def decide_full(p: int, q: int, rot: RotationVector, cap: int = DEFAULT_CAP) -> Verdict:
-    """decide_theorem plus the trace -1 search on inconclusive cases.
+def decide_full(
+    p: int, q: int, rot: RotationVector, cap: int = DEFAULT_CAP, *, chern: int | None = None
+) -> Verdict:
+    """decide_theorem plus the trace -1 search on inconclusive cases;
+    chern is passed on to decide_theorem.
 
     The search runs with at most _QUICK_SEARCH_STEPS steps first; when
     that caps, weyl_witness is tried, and only when it finds nothing
@@ -229,7 +243,7 @@ def decide_full(p: int, q: int, rot: RotationVector, cap: int = DEFAULT_CAP) -> 
     InvalidInputError whichever layer would decide.
     """
     check_cap(cap)
-    verdict = decide_theorem(p, q, rot)
+    verdict = decide_theorem(p, q, rot, chern=chern)
 
     if verdict.reason in _THEOREM_REASONS and p <= _CROSS_VALIDATE_MAX_P:
         search = find_isometry_with_trace(gram(rot.coeffs), -1, cap)
@@ -283,13 +297,15 @@ def evaluate_one(
     theorem_only: bool = False,
     cap: int = DEFAULT_CAP,
 ) -> Record:
-    """Full record (class, residue, verdict) for one structure."""
+    """Full record (class, residue, verdict) for one structure; the
+    residue is computed once, for the Chern gate and the record."""
+    chern = chern_residue(rot)
     # Both deciders validate (p, q) against rot.coeffs first.
     if theorem_only:
-        verdict = decide_theorem(p, q, rot)
+        verdict = decide_theorem(p, q, rot, chern=chern)
     else:
-        verdict = decide_full(p, q, rot, cap)
-    return Record(p, q, rot.coeffs, rot, classify_structure(rot), chern_residue(rot), verdict)
+        verdict = decide_full(p, q, rot, cap, chern=chern)
+    return Record(p, q, rot.coeffs, rot, classify_structure(rot), chern, verdict)
 
 
 def _evaluate_or_error(

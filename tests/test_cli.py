@@ -12,8 +12,11 @@ in tests/golden/.  After a deliberate output change, rewrite them with
 """
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,11 +25,14 @@ from unittest import mock
 
 import pytest
 
+import lensmilnor.cli as cli
 import lensmilnor.obstruct as obstruct
 from lensmilnor.cli import OutputRecord, emit_record, main, render, run
+from lensmilnor.contact import enumerate_structures, zero_vector
 from lensmilnor.contfrac import expand
+from lensmilnor.errors import InvalidInputError
 from lensmilnor.lattice import TraceSearch
-from lensmilnor.obstruct import Record, scan
+from lensmilnor.obstruct import Record, evaluate_one, scan
 from verification import identity
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -466,6 +472,125 @@ def test_json_render_builds_no_encoder_per_row(monkeypatch):
     for i in range(1000):
         render(_JSON_ROWS[i % len(_JSON_ROWS)], "json")
     assert calls == 0
+
+
+_FORMATS = ("json", "csv", "table")
+
+
+def _one_field_apart(out):
+    """Copies of out, each apart from it in one field that emit_record
+    caches: by value, by True against 1, or by an equal value in a new
+    object (which must render as out does)."""
+    changes = {
+        "p": (out.p + 1, True),
+        "q": (out.q + 1, True),
+        "coeffs": ((*out.coeffs, 2), (True, *out.coeffs[1:]), tuple(list(out.coeffs))),
+        "verdict": ("Obstructed" if out.verdict != "Obstructed" else "Inconclusive",),
+        "reason": ("TheoremB" if out.reason != "TheoremB" else None,),
+        "witness": ((1, 0, 0, -1), (True, 0, 0, 1), None),
+        "group_order": (1, True, 2, None),
+        "complete": (not out.complete, 1, 0),
+    }
+    for field, values in changes.items():
+        for value in values:
+            yield dataclasses.replace(out, **{field: value})
+
+
+def _mixed_records():
+    """OutputRecords of every reason, in a stream whose pair and verdict
+    change from record to record."""
+    theorem_only = [
+        evaluate_one(p, q, rot, theorem_only=True)
+        for p, q in [(2, 1), (8, 1), (8, 5), (15, 4), (86, 15)]
+        for rot in enumerate_structures(expand(p, q))
+    ]
+    searched = [
+        evaluate_one(12, 7, zero_vector(expand(12, 7))),  # TraceWitnessExists
+        evaluate_one(41, 24, zero_vector(expand(41, 24))),  # ComputedNoTraceMinusOne
+        evaluate_one(41, 12, zero_vector(expand(41, 12)), cap=100),  # capped
+        Record(7, 4, expand(7, 4), None, None, None, None, error=_ERROR_TEXT),
+    ]
+    # Two pairs that alternate, record by record.
+    first, second = (
+        [evaluate_one(p, q, rot, theorem_only=True) for rot in enumerate_structures(expand(p, q))]
+        for p, q in [(15, 4), (41, 24)]
+    )
+    alternating = [rec for two in zip(first, second) for rec in two]
+    records = theorem_only + searched + alternating
+    outs = [OutputRecord.from_record(rec) for rec in records]
+    reasons = {out.reason for out in outs}
+    assert {"ChernNonzero", "RegistryAn", "RegistryHirzebruch", "TheoremB", "TheoremCi"} <= reasons
+    assert {"TraceWitnessExists", "ComputedNoTraceMinusOne", None, _ERROR_TEXT} <= reasons
+    assert any(out.complete is False for out in outs)
+    synthetic = OutputRecord(
+        1, 1, (2, 2), (0, 0), "UT", 0, "Inconclusive", None, (1, 0, 0, 1), 1, True
+    )
+    witness = next(out for out in outs if out.witness is not None)
+    error = next(out for out in outs if out.verdict == "Error")
+    for out in (synthetic, witness, error):
+        for apart in _one_field_apart(out):
+            outs += [out, apart, apart]
+    # Equal values that render apart.
+    outs += [dataclasses.replace(synthetic, group_order=x) for x in (0.0, -0.0)]
+    return outs
+
+
+def test_cached_record_cells_never_go_stale():
+    # emit_record reuses the previous record's pair and verdict cells;
+    # render(vars(out), fmt) renders every field afresh.  Each record is
+    # written in all three formats, in an order that turns with it.
+    outs = _mixed_records()
+    for i, out in enumerate(outs):
+        for k in range(3):
+            fmt = _FORMATS[(i + k) % 3]
+            assert emit_record(out, fmt) == render(vars(out), fmt), (i, fmt, out)
+    # The record is mutable: the same object, changed in place, is
+    # written with its new values.
+    out = dataclasses.replace(outs[0])
+    for field, value in [("q", out.q + 1), ("coeffs", (3, 3)), ("complete", 1), ("witness", (1,))]:
+        setattr(out, field, value)
+        for fmt in _FORMATS:
+            assert emit_record(out, fmt) == render(vars(out), fmt), (field, fmt)
+
+
+def test_record_cells_cache_holds_one_entry_per_format():
+    census = [
+        OutputRecord.from_record(evaluate_one(p, q, rot, theorem_only=True))
+        for p in range(2, 61)
+        for q in range(1, p)
+        if math.gcd(p, q) == 1
+        for rot in enumerate_structures(expand(p, q))
+    ]
+    for fmt in _FORMATS:
+        assert b"".join(emit_record(out, fmt) for out in census) == b"".join(
+            render(vars(out), fmt) for out in census
+        )
+    # One (values, pair cells, verdict cells) tuple per format, whatever
+    # the scan's length.
+    assert set(cli._last_cells) == set(_FORMATS)
+    for entry in cli._last_cells.values():
+        values, pair_cells, verdict_cells = entry
+        assert len(values) == 8
+        assert type(pair_cells) is str and type(verdict_cells) is str
+    with pytest.raises(InvalidInputError, match="unknown format 'xml'"):
+        emit_record(census[0], "xml")
+    assert set(cli._last_cells) == set(_FORMATS)
+
+
+# scan --pmax 30 in csv and table, frozen as test_acceptance_10 freezes
+# the json bytes.
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("csv", "f6e12460e4eca201940ce88a4a01a1ea11ad4429581e4b2ef0d7220a22df1116"),
+        ("table", "80f2a1b71a5c7f468a77b85f7b98a8c9c851e66a59681f5cf99a63f3b1207cbc"),
+    ],
+)
+def test_scan_bytes_frozen_in_csv_and_table(capfdbinary, fmt, digest):
+    code, out, _ = _run(capfdbinary, ["scan", "--pmax", "30", "--format", fmt])
+    assert code == 0
+    assert len(out.splitlines()) == 1742
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_scan_csv_single_header(capfdbinary):

@@ -6,6 +6,7 @@ decision code was trusted.
 """
 
 import math
+from collections import Counter
 from dataclasses import fields as dataclass_fields
 
 import pytest
@@ -20,6 +21,7 @@ from lensmilnor import (
     TightClass,
     Verdict,
     as_expansion,
+    chern_residue,
     decide_full,
     decide_theorem,
     enumerate_structures,
@@ -368,8 +370,58 @@ def test_theorem_only_records_reach_every_traced_boundary(monkeypatch):
     assert calls.get("expand", 0) == 0
     assert calls["decide_theorem"] == records
     assert calls["classify_structure"] == records
-    assert calls["chern_residue"] >= records
+    # One residue per record, for the Chern gate and the record alike.
+    assert calls["chern_residue"] == records
     assert calls["cf_invariants"] >= records
+
+
+# decide_theorem(p, q, rot) over every structure of each pair, counted by
+# reason; frozen before the residue could be passed in.
+_THEOREM_COUNTS = {
+    (2, 1): {"RegistryAn": 1},
+    (8, 1): {"ChernNonzero": 6, "RegistryHirzebruch": 1},
+    (12, 7): {"ChernNonzero": 2, None: 1},
+    (15, 4): {"ChernNonzero": 8, "TheoremB": 1},
+    (34, 7): {"ChernNonzero": 24},
+    (41, 24): {"ChernNonzero": 8, None: 1},
+    (86, 15): {"ChernNonzero": 44, "TheoremCi": 1},
+    (157, 43): {"ChernNonzero": 42},
+    (199, 81): {"ChernNonzero": 24},
+}
+
+
+def test_passed_residue_decides_as_the_computed_one():
+    for (p, q), counts in _THEOREM_COUNTS.items():
+        reasons = Counter()
+        for rot in enumerate_structures(expand(p, q)):
+            chern = chern_residue(rot)
+            verdict = decide_theorem(p, q, rot)
+            assert decide_theorem(p, q, rot, chern=chern) == verdict
+            rec = evaluate_one(p, q, rot, theorem_only=True)
+            assert (rec.chern, rec.verdict) == (chern, verdict)
+            if p <= 41:
+                rec = evaluate_one(p, q, rot)
+                assert (rec.chern, rec.verdict) == (chern, decide_full(p, q, rot))
+            reasons[verdict.reason.value if verdict.reason else None] += 1
+        assert reasons == counts, (p, q)
+
+
+def test_passed_residue_is_held_against_the_vector():
+    # The residue vanishes exactly at r = 0: a passed value that says
+    # otherwise raises in both deciders, never decides.
+    zero = _zero(12, 7)
+    nonzero = RotationVector(expand(12, 7), (0, 2, 0))
+    assert (chern_residue(zero), chern_residue(nonzero)) == (0, 4)
+    for decide in (decide_theorem, decide_full):
+        for chern in (1, 4):
+            message = f"^internal error: residue {chern} for 12/7 with r = 0$"
+            with pytest.raises(RuntimeError, match=message):
+                decide(12, 7, zero, chern=chern)
+        with pytest.raises(RuntimeError, match="^internal error: zero residue for 12/7 with r = "):
+            decide(12, 7, nonzero, chern=0)
+        # A wrong but nonzero residue for a nonzero vector still only
+        # says what the true one says.
+        assert decide(12, 7, nonzero, chern=3).reason is Reason.CHERN_NONZERO
 
 
 def test_evaluate_one():

@@ -19,8 +19,9 @@ check.
 
 Every structure of a pair holds the one expansion object
 enumerate_structures was given, and the per-pair work (the weights mu
-and p) is kept on that object.  A residue is one multiply-sum over those
-weights, a plain int computed on each call.
+and p, and the rotation sum of the extremal vectors) is kept on that
+object.  A residue is one multiply-sum over those weights, a plain int
+computed on each call.
 """
 
 from __future__ import annotations
@@ -156,9 +157,9 @@ def classify_structure(rot: RotationVector) -> TightClass:
 
     Since |r_i| <= a_i - 2, |sum r_i| <= sum(a_i - 2), with equality
     exactly when every r_i = a_i - 2 or every r_i = -(a_i - 2): at the
-    two extremal vectors.
+    two extremal vectors.  The bound is kept on the expansion, once per
+    pair.
     """
-    a = rot.coeffs.coeffs
-    if abs(sum(rot.r)) == sum(a) - 2 * len(a):
+    if abs(sum(rot.r)) == rot.coeffs.extremal_sum:
         return TightClass.UNIVERSALLY_TIGHT
     return TightClass.VIRTUALLY_OVERTWISTED

@@ -11,9 +11,10 @@ last weight of the same recurrence; the intersection-lattice layer works
 from the coefficients alone and computes its own minors.
 
 Per-pair work lives on the expansion object: a CFExpansion computes its
-invariants and the fraction it folds back to once, on first use, and
-keeps them.  enumerate_structures shares one expansion among all the
-structures of a pair, so the census computes them once per pair.
+invariants, its extremal rotation sum and the fraction it folds back to
+once, on first use, and keeps them.  enumerate_structures shares one
+expansion among all the structures of a pair, so the census computes
+them once per pair.
 expand builds its expansion without re-checking the coefficients it has
 just produced (ceiling division gives each a_i >= 2) and keeps the
 LensSpace it validated as the fraction, so nothing folds p/q back.
@@ -53,9 +54,9 @@ class CFExpansion:
     """Coefficients (a1, ..., an) of a negative-regular continued fraction.
 
     Every coefficient is an integer >= 2 and the tuple is nonempty.
-    invariants and fraction are computed on first use and kept on the
-    instance; they are not fields, so equality and the hash still see
-    only the coefficients.
+    invariants, extremal_sum and fraction are computed on first use and
+    kept on the instance; they are not fields, so equality and the hash
+    still see only the coefficients.
     """
 
     coeffs: tuple[int, ...]
@@ -84,6 +85,12 @@ class CFExpansion:
             mu.append(cur)
             prev, cur = cur, a * cur - prev
         return CFInvariants(tuple(mu), cur)
+
+    @cached_property
+    def extremal_sum(self) -> int:
+        """sum(a_i - 2): the rotation sum of the extremal vector
+        r = (a_i - 2), the largest |sum r_i| of any tight structure."""
+        return sum(self.coeffs) - 2 * len(self.coeffs)
 
     @cached_property
     def fraction(self) -> LensSpace:

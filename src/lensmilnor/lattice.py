@@ -27,6 +27,22 @@ pairs: within a run of 2s, M (e_i + ... + e_j) telescopes to at most
 four nonzeros.  All of it dies with the search; every lattice of a scan
 is searched about once, so nothing is kept across calls.
 
+A depth reads its list one candidate at a time only until it has read
+it to its end under a given row above.  Whether a candidate pairs to -1
+with the row above, the first test, depends only on that row v and the
+depth's diagonal entry a, never on the rest of the prefix.  So each
+distinct row vector placed at a middle depth keeps its image, built
+once, and from its second placement on a scan under it notes the ranks
+where that pairing is -1 (a pairing it computes anyway), and keeps them
+once it reaches the end of a's list.  Later revisits under v jump from
+one kept rank to the next, test only the older rows there, and are
+charged the candidates the scan would have examined on the way; past
+the last kept rank, the rest of the list.  Only lists already read to
+their end are indexed, so no vector is enumerated that the scan would
+not have read, and steps, elements, order and cap point are the scan's.
+Row 0 keeps nothing, as each vector is row 0 at most once per search,
+and the last depth keeps its counted walk.
+
 The last row is the exception.  Its n - 1 pairings with the placed rows
 are all known, so at most two vectors pass, but a plain scan reads the
 whole set to find them, on every visit: 10,952 norm-4 vectors for
@@ -66,6 +82,7 @@ ever proves existence, and every matrix it returns is checked exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -375,9 +392,19 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     with the search.  An enumerator that raises ends the search too, so
     no reader takes its short prefix for the whole set.  A candidate is
     paired with each placed row through the row's sparse image M v,
-    built once when the row is placed.
+    built when row 0 is placed and once per distinct vector below it.
 
-    One exception: at the last depth, once its list holds _WALK_AFTER
+    The depths 1..n - 2 read their lists one candidate at a time, except
+    on revisits.  A scan under a row above v that was placed before
+    notes the ranks of the candidates pairing to -1 with v, and keeps
+    them, per (v, diagonal entry), once it has read the list to its end;
+    a later visit under v with that entry goes from one kept rank >= its
+    resume point to the next, tests the older rows there, and is charged
+    rank - k + 1 steps per rank, or len(list) - k past the last one.  So
+    a revisit costs what the scan costs in steps and cap point, not in
+    time.  The kept ranks are freed with the search.
+
+    The last depth is the other exception: once its list holds _WALK_AFTER
     vectors, running past the end continues through a _CountedSet walk
     from that rank instead of pulling more.  All n - 1 pairings are then
     known, so at most two vectors pass; the walk returns the next one
@@ -395,9 +422,18 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     streams = {a: ([], _fincke_pohst(diag, a)) for a in set(diag)}
     last = n - 1
     counted = None  # the last depth's set, once it walks
+    # Per row vector v placed at depths 1..n - 2, its image M v; and per
+    # (v, diagonal entry a), once v is placed again and a scan under it
+    # reads a's list to its end, the ranks there of the vectors that pair
+    # to -1 with v.
+    known: dict = {}
+    partners: dict = {}
 
     rows: list = [None] * n
     mrows: list = [None] * n
+    # Per middle depth, for the row above: its kept partner ranks (a
+    # tuple), the ones a scan is noting (a list), or None.
+    notes: list = [None] * n
     resume = [0] * n
     steps = cap
     d = 0
@@ -405,48 +441,77 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
         vecs, source = streams[diag[d]]
         # Row d must pair to -1 with row d - 1 (which kills most
         # candidates) and to 0 with the older rows, newest first.
-        adjacent = mrows[d - 1] if d else ()
         older = mrows[d - 2 :: -1] if d > 1 else ()
         k = resume[d]
-        while True:
-            if k < len(vecs):
-                v = vecs[k]
-            elif d < last or len(vecs) < _WALK_AFTER:
-                v = next(source, None)
-                if v is None:
-                    break
-                vecs.append(v)
-            else:
-                # the next passing vector by rank, charged the candidates
-                # the scan would examine to reach it
-                if counted is None:
-                    counted = _CountedSet(diag, diag[last])
-                pairings = ((mrows[j], -1 if j == d - 1 else 0) for j in range(d))
-                rank, v = counted.first(k, pairings)
-                steps -= rank - k + (v is not None)
+        ranks = notes[d]
+        if ranks is not None and type(ranks) is tuple:
+            # A revisit: only the kept ranks can pass, and each jump is
+            # charged the candidates the scan would examine to reach it.
+            v = None
+            for j in ranks[bisect_left(ranks, k) :]:
+                steps -= j - k + 1
                 if steps < 0:
                     raise _SearchCapped
-                k = rank + 1
-                break
-            k += 1
-            steps -= 1
-            if steps < 0:
-                raise _SearchCapped
-            if d:
-                s = 0
-                for i, y in adjacent:
-                    s += v[i] * y
-                if s != -1:
-                    continue
+                k = j + 1
+                v = vecs[j]
                 s = 0
                 for mr in older:
                     for i, y in mr:
                         s += v[i] * y
                     if s:
                         break
-                if s:
-                    continue
-            break
+                if not s:
+                    break
+            else:
+                steps -= len(vecs) - k
+                if steps < 0:
+                    raise _SearchCapped
+                v = None
+        else:
+            adjacent = mrows[d - 1] if d else ()
+            while True:
+                if k < len(vecs):
+                    v = vecs[k]
+                elif d < last or len(vecs) < _WALK_AFTER:
+                    v = next(source, None)
+                    if v is None:
+                        if ranks is not None:  # read to its end: keep
+                            partners[rows[d - 1], diag[d]] = tuple(ranks)
+                        break
+                    vecs.append(v)
+                else:
+                    # the next passing vector by rank, charged the candidates
+                    # the scan would examine to reach it
+                    if counted is None:
+                        counted = _CountedSet(diag, diag[last])
+                    pairings = ((mrows[j], -1 if j == d - 1 else 0) for j in range(d))
+                    rank, v = counted.first(k, pairings)
+                    steps -= rank - k + (v is not None)
+                    if steps < 0:
+                        raise _SearchCapped
+                    k = rank + 1
+                    break
+                k += 1
+                steps -= 1
+                if steps < 0:
+                    raise _SearchCapped
+                if d:
+                    s = 0
+                    for i, y in adjacent:
+                        s += v[i] * y
+                    if s != -1:
+                        continue
+                    if ranks is not None:
+                        ranks.append(k - 1)
+                    s = 0
+                    for mr in older:
+                        for i, y in mr:
+                            s += v[i] * y
+                        if s:
+                            break
+                    if s:
+                        continue
+                break
         if v is None:
             d -= 1  # depth d is exhausted: resume the one above
             continue
@@ -454,10 +519,23 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
         rows[d] = v
         if d + 1 == n:
             yield _isometry(tuple(rows))
-        else:
-            mrows[d] = lattice.mrow(v)
+        elif d:
+            image = known.get(v)
             d += 1
             resume[d] = 0
+            if image is None:
+                # a first placement: only the image is kept
+                mrows[d - 1] = known[v] = lattice.mrow(v)
+                notes[d] = None
+            else:
+                mrows[d - 1] = image
+                if d < last:
+                    ranks = partners.get((v, diag[d]))
+                    notes[d] = [] if ranks is None else ranks
+        else:
+            mrows[0] = lattice.mrow(v)
+            d = 1
+            resume[1] = 0
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,9 @@ def test_kept_values_are_not_fields():
     assert repr(warm) == repr(cold)
     assert cf_invariants(cold) is cf_invariants(cold)
     assert cold.fraction is cold.fraction
+    # sum(a_i - 2), kept once computed
+    assert warm.extremal_sum == cold.extremal_sum == 4
+    assert vars(cold)["extremal_sum"] == 4
 
 
 def test_per_pair_caches_match_fresh_values():

@@ -10,6 +10,7 @@ import gc
 import inspect
 import itertools
 import math
+import sys
 import weakref
 
 import pytest
@@ -27,6 +28,8 @@ from lensmilnor import (
 
 from lensmilnor.contact import zero_vector
 import lensmilnor.lattice as lattice_module
+import lensmilnor.obstruct as obstruct_module
+import verification
 from lensmilnor.lattice import weyl_witness
 from lensmilnor.obstruct import decide_theorem, scan
 from verification import (
@@ -619,6 +622,37 @@ def test_no_walk_memo_outlives_its_search(monkeypatch):
     assert len(built) == 2 and built[1]() is None
 
 
+def test_no_row_memo_outlives_its_search():
+    # The kept images and -1 partner ranks belong to their search: held
+    # while it is suspended, freed when it ends, complete or capped.  What
+    # is kept must be what a fresh computation gives.
+    lat = gram((4,) + (2,) * 5)
+    for cap, capped in ((10**6, False), (100_000, True)):
+        search = lattice_module._iter_isometries(lat, cap)
+        next(search)
+        memo = search.gi_frame.f_locals
+        known, partners = memo["known"], memo["partners"]
+        assert len(known) == len(partners) == 30
+        try:
+            for _ in search:
+                pass
+        except lattice_module._SearchCapped:
+            assert capped
+        else:
+            assert not capped
+        assert search.gi_frame is None
+        for v, image in known.items():
+            assert image == lat.mrow(v)
+        m = dense_gram(lat.diag)
+        for (v, a), ranks in partners.items():
+            vecs = short_vectors(lat, a)
+            assert ranks == tuple(j for j, w in enumerate(vecs) if pairing(m, w, v) == -1)
+        # the ended search refers to neither: once memo goes, only these names do
+        del memo
+        assert sys.getrefcount(known) == 2
+        assert sys.getrefcount(partners) == 2
+
+
 def _assert_search_matches_the_scan(lat, caps):
     want = scanned_answers(lat, caps, -1)
     for cap in caps:
@@ -666,6 +700,62 @@ def test_row_search_matches_the_scan_oracle_on_runs_of_twos(monkeypatch):
     assert {(len(d) - 1, d[-1]) for d in large} == {
         (k, a) for a in (4, 6, 8) for k in range(6, 17) if (k, a) not in {(6, 4), (6, 6), (7, 4)}
     }
+
+
+def test_row_search_matches_the_scan_oracle_on_revisited_depths(monkeypatch):
+    # The middle depths jump between kept -1 partners on revisits: every
+    # lattice whose quick search caps in scan(50), a few of them with ten
+    # times the budget, and 2s on both sides of a larger entry.
+    capped = set()
+    real = obstruct_module.find_isometry_with_trace
+
+    def recorded(lat, trace, cap):
+        search = real(lat, trace, cap)
+        if not search.complete:
+            capped.add(lat.diag)
+        return search
+
+    monkeypatch.setattr(obstruct_module, "find_isometry_with_trace", recorded)
+    for _ in scan(50):
+        pass
+    assert len(capped) == 43
+    for diag in sorted(capped):
+        _assert_search_matches_the_scan(IntersectionLattice(diag), (1_000, 10_000))
+    for diag in ((4,) + (2,) * 5, (2, 4) + (2,) * 4, (6,) + (2,) * 4, (10,) + (2,) * 4):
+        assert diag in capped
+        _assert_search_matches_the_scan(IntersectionLattice(diag), (100_000,))
+    for j in range(1, 7):
+        for k in range(1, 7):
+            for a in range(3, 9):
+                diag = (2,) * j + (a,) + (2,) * k
+                _assert_search_matches_the_scan(IntersectionLattice(diag), (1_000, 10_000))
+
+
+def test_row_search_jumps_between_kept_partners(monkeypatch):
+    # On [4, 2^5] the quick search revisits its middle depths under the
+    # same rows, so it must read far fewer coordinates than the scan,
+    # which pairs every candidate with the row above, for the same answer.
+    reads = [0]
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    real = lattice_module._fincke_pohst
+
+    def counted(diag, target):
+        return map(Counted, real(diag, target))
+
+    monkeypatch.setattr(lattice_module, "_fincke_pohst", counted)
+    monkeypatch.setattr(verification, "_fincke_pohst", counted)
+    lat = gram((4,) + (2,) * 5)
+    search = find_isometry_with_trace(lat, -1, 10_000)
+    searched = reads[0]
+    reads[0] = 0
+    assert search == scanned_answers(lat, (10_000,), -1)[10_000][1]
+    assert not search.complete
+    assert searched < reads[0] // 2
 
 
 def test_weyl_witness_lies_in_the_group():

@@ -21,9 +21,9 @@ a csv or table cell the text of one value.  The obstruct and scan
 records are written by emit_record, which formats only a record's own
 cells (rotation, tight_class, chern) and takes the pair's cells (p, q,
 coeffs) and the verdict's (verdict to complete) from the previous record
-of the same format when their values render alike: every structure of a
-pair shares the first, and most records of a census the second.  The
-bytes are render()'s.
+of the same format when each of the group's values is the very object
+that record held: every structure of a pair shares the first, and most
+records of a census the second.  The bytes are render()'s.
 
 Exit codes: 0 ok, 1 invalid input, 2 under --strict when any result is
 capped/indeterminate or an Error row, 141 (128 + SIGPIPE) when the
@@ -218,34 +218,19 @@ _own_values = operator.itemgetter(*_OWN_FIELDS)
 # joined cells: one (values, pair cells, verdict cells) tuple, replaced
 # whole, so a reader never pairs one record's values with another's
 # text, and memory stays O(1) on any scan.  It saves work only: no line
-# depends on what it holds.  Record fields hold immutable values, so the
-# same object renders alike every time.
+# depends on what it holds.  A group's cells are reused only when each of
+# its values is the very object held here; record fields hold immutable
+# values, so the same object renders alike every time.
 _last_cells: dict[str, tuple] = {}
-
-# Types whose equal values render alike in every format.  Equal floats
-# may not (0.0 and -0.0), so they never match.
-_PLAIN = (int, str, bool, type(None))
-
-
-def _same(a, b) -> bool:
-    """a and b render alike: the same object, or equal values of the
-    same types all the way down (True == 1, but renders as true)."""
-    if a is b:
-        return True
-    if type(a) is not type(b) or a != b:
-        return False
-    if type(a) is tuple:
-        return all(map(operator.is_, a, b)) or all(map(_same, a, b))
-    return type(a) in _PLAIN
 
 
 def _refresh(fmt: str, shared: tuple, last: tuple | None) -> tuple:
     """The entry of fmt for a record with these pair and verdict values,
-    stored in place of last: a group keeps last's cells when its values
-    render alike, and is rendered afresh otherwise."""
+    stored in place of last: a group keeps last's cells under
+    emit_record's rule, and is rendered afresh otherwise."""
     n = len(_PAIR_FIELDS)
     pair, verdict = shared[:n], shared[n:]
-    if last is not None and _same(pair, last[0][:n]):
+    if last is not None and all(map(operator.is_, pair, last[0][:n])):
         pair_cells = last[1]
     elif fmt == "json" and type(pair[0]) is int and type(pair[1]) is int:
         # As the encoder writes two ints, with only coeffs encoded: one
@@ -253,7 +238,7 @@ def _refresh(fmt: str, shared: tuple, last: tuple | None) -> tuple:
         pair_cells = f'"p":{pair[0]!r},"q":{pair[1]!r},"coeffs":{_json_encode(pair[2])}'
     else:
         pair_cells = _cells(dict(zip(_PAIR_FIELDS, pair)), fmt)
-    if last is not None and _same(verdict, last[0][n:]):
+    if last is not None and all(map(operator.is_, verdict, last[0][n:])):
         verdict_cells = last[2]
     else:
         verdict_cells = _cells(dict(zip(_VERDICT_FIELDS, verdict)), fmt)
@@ -264,12 +249,9 @@ def _refresh(fmt: str, shared: tuple, last: tuple | None) -> tuple:
 
 def _record_line(row: dict, fmt: str) -> bytes:
     """render(row, fmt) for the fields of an OutputRecord, with the
-    pair's and the verdict's cells reused from the previous record when
-    their values render alike."""
+    pair's and the verdict's cells reused as emit_record says."""
     shared = _shared_values(row)
     last = _last_cells.get(fmt)
-    # The same objects as last time render alike; anything else is
-    # compared by value.
     if last is None or not all(map(operator.is_, shared, last[0])):
         last = _refresh(fmt, shared, last)
     rotation, tight_class, chern = _own_values(row)
@@ -292,9 +274,9 @@ def emit_record(record: OutputRecord, format: str) -> bytes:
     Only rotation, tight_class and chern are formatted on every call.
     The cells of p, q and coeffs, and those of verdict, reason, witness,
     group_order and complete, are reused from the previous call in the
-    same format when their values are equal and of the same types
-    (True == 1 renders as true), and formatted afresh otherwise.  One
-    entry per format is kept, whatever the number of records.
+    same format when each of the group's values is the very object that
+    call was given, and formatted afresh otherwise.  One entry per format
+    is kept, whatever the number of records.
     """
     return _record_line(vars(record), format)
 

@@ -14,7 +14,9 @@ diagonal, so the form is a weighted sum of squares whose remainders,
 scaled by one minor, stay integers.  Coordinates are fixed from the first
 one on, each within exact bounds from math.isqrt, and tried in canonical
 order, so the vectors come out canonically sorted by construction.  No
-floats, fractions or sorting are involved.
+floats, fractions or sorting are involved.  Norm 2 takes no descent:
+Q(x) = sum (a_i - 2) x_i^2 + x_1^2 + x_n^2 + sum (x_i - x_i+1)^2, so its
+vectors are +-(e_i + ... + e_j) inside one run of 2s, listed from the runs.
 
 The enumeration is a generator with an explicit stack of levels that
 yields one vector at a time.  Each search keeps, per distinct diagonal
@@ -212,8 +214,20 @@ def _fincke_pohst(diag: tuple[int, ...], target: int) -> Iterator[tuple[int, ...
     Depth-first over the coordinates, with one entry per open level on
     an explicit stack: the candidates left for x_i, and the two integers
     that turn a candidate into the remainder passed to level i + 1.
+    Norm 2 is listed from the runs of 2s, with no descent: canonically
+    the latest start first, then - before +, then the shortest first.
     """
     n = len(diag)
+    if target == 2:
+        stop = n  # the end of the run of 2s through start
+        for start in reversed(range(n)):
+            if diag[start] != 2:
+                stop = start
+                continue
+            for sign in (-1, 1):
+                for end in range(start + 1, stop + 1):
+                    yield (0,) * start + (sign,) * (end - start) + (0,) * (n - end)
+        return
     m = _reversed_minors(diag)
     x = [0] * n
     todo: list = [None] * n

@@ -198,6 +198,22 @@ def test_short_vectors_match_rational_enumeration():
     assert checked == 8445 + 7 * 9
 
 
+def test_norm_two_vectors_come_from_the_runs_of_twos():
+    # Norm 2 is listed in closed form, +-(e_i + ... + e_j) inside one run
+    # of 2s, with no descent: the rational oracle's tuples, order
+    # included, on every expansion with p <= 40 and on edge shapes (no
+    # 2s, all 2s, runs at both ends, one long run).
+    diags = {
+        expand(p, q).coeffs for p in range(2, 41) for q in range(1, p) if math.gcd(p, q) == 1
+    }
+    assert len(diags) == 489
+    long_run = (4,) + (2,) * 60
+    diags |= {(3, 4, 5), (2,) * 9, (2, 2, 5, 2, 2, 2), long_run}
+    for diag in diags:
+        assert tuple(short_vectors(IntersectionLattice(diag), 2)) == short_vectors_rational(diag, 2)
+    assert len(short_vectors(IntersectionLattice(long_run), 2)) == 3660
+
+
 def _pinned(v):
     # pairings that hold for v alone: coordinate j equals v[j]
     return [(((j, 1),), x) for j, x in enumerate(v)]
@@ -729,6 +745,24 @@ def test_row_search_matches_the_scan_oracle_on_revisited_depths(monkeypatch):
             for a in range(3, 9):
                 diag = (2,) * j + (a,) + (2,) * k
                 _assert_search_matches_the_scan(IntersectionLattice(diag), (1_000, 10_000))
+
+
+def test_row_search_matches_the_scan_oracle_on_long_runs_of_twos(monkeypatch):
+    # Every depth of a 2 reads the closed-form norm-2 stream; [2^23] and
+    # [3, 2^23] also read 512 of its vectors and walk the last depth's
+    # norm-2 set.
+    walked = set()
+    real = lattice_module._CountedSet
+
+    def counted(diag, target):
+        walked.add((diag, target))
+        return real(diag, target)
+
+    monkeypatch.setattr(lattice_module, "_CountedSet", counted)
+    twos = (2,) * 23
+    for diag in ((4,) + twos, twos + (4,), (6, 2) + twos, twos, (3,) + twos):
+        _assert_search_matches_the_scan(IntersectionLattice(diag), (10_000, 100_000))
+    assert {diag for diag, target in walked if target == 2} == {twos, (3,) + twos}
 
 
 def test_row_search_jumps_between_kept_partners(monkeypatch):

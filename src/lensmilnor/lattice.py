@@ -575,14 +575,14 @@ class TraceSearch:
               None.
     complete: True when the answer is definitive (witness found, or the
               whole group was enumerated without one).
-    traces:   the full trace multiset, only when the group was enumerated
-              completely and no witness exists; len(traces) is then the
-              group order.
+    traces:   the trace histogram, (trace, multiplicity) pairs sorted by
+              trace, only when the group was enumerated completely and no
+              witness exists; the multiplicities sum to the group order.
     """
 
     witness: Isometry | None
     complete: bool
-    traces: tuple[int, ...] | None
+    traces: tuple[tuple[int, int], ...] | None
 
 
 def orthogonal_group(lattice: IntersectionLattice, cap: int = DEFAULT_CAP) -> IsometryGroup:
@@ -608,22 +608,22 @@ def find_isometry_with_trace(
     """Search O_Z(M) for an element of the given trace.
 
     Short-circuits at the first (canonically least) witness.  When the
-    group is exhausted without one, reports the full trace multiset as a
+    group is exhausted without one, reports its trace histogram as a
     certificate of absence.  Exceeding the cap yields the indeterminate
     answer (witness None, complete False).
     """
     check_int("trace", trace)
     check_cap(cap)
-    seen: list[int] = []
+    counts: dict[int, int] = {}
     try:
         for iso in _iter_isometries(lattice, cap):
             t = iso.trace
             if t == trace:
                 return TraceSearch(witness=iso, complete=True, traces=None)
-            seen.append(t)
+            counts[t] = counts.get(t, 0) + 1
     except _SearchCapped:
         return TraceSearch(witness=None, complete=False, traces=None)
-    return TraceSearch(witness=None, complete=True, traces=tuple(sorted(seen)))
+    return TraceSearch(witness=None, complete=True, traces=tuple(sorted(counts.items())))
 
 
 def _runs_of_twos(diag: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -12,11 +12,12 @@ For a tight structure on L(p, q), the layers run in order:
    obstructed unless q^2 = 1 mod p with n odd.
 4. Computational layer: the monodromy constraint 1 + trace(phi^2) = 0
    requires the intersection lattice to admit an isometry of trace -1;
-   a completed enumeration with no such element is an obstruction, a
-   witness leaves the question open, and a capped search is reported as
-   indeterminate (complete=False).  A search of at most 10,000 steps
-   runs first; when it caps, a witness built from the Weyl group of the
-   runs of 2s is tried, and only then the search with the whole cap.
+   a completed enumeration with no such element is an obstruction
+   certified by the group's trace histogram, a witness leaves the
+   question open, and a capped search is reported as indeterminate
+   (complete=False).  A search of at most 10,000 steps runs first; when
+   it caps, a witness built from the Weyl group of the runs of 2s is
+   tried, and only then the search with the whole cap.
    The witness is thus the canonically least one when the short search
    finds it, otherwise the Weyl-group one; both are exactly verified.
 
@@ -88,21 +89,39 @@ class Reason(Enum):
 _THEOREM_REASONS = (Reason.THEOREM_B, Reason.THEOREM_CI, Reason.THEOREM_CII)
 
 
+def _is_absence_histogram(certificate: object) -> bool:
+    """A non-empty tuple of (trace, multiplicity >= 1) integer pairs with
+    no trace -1: what a completed search without a witness proves."""
+    return (
+        isinstance(certificate, tuple)
+        and len(certificate) > 0
+        and all(
+            isinstance(pair, tuple)
+            and len(pair) == 2
+            and all(isinstance(x, int) for x in pair)
+            and pair[0] != -1
+            and pair[1] >= 1
+            for pair in certificate
+        )
+    )
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Decision for one (p, q, r).
 
     outcome is derived: reason.outcome, or Inconclusive when reason is
     None.  certificate carries the payload appropriate to the reason: a
-    witness Isometry for TraceWitnessExists, the group's sorted trace
-    multiset for ComputedNoTraceMinusOne, a defining-equation citation
-    for the registry reasons, None otherwise.  reason is None when the
-    theorem layer is silent and no computation settled the case.
+    witness Isometry for TraceWitnessExists, the group's trace histogram
+    (sorted (trace, multiplicity) pairs) for ComputedNoTraceMinusOne, a
+    defining-equation citation for the registry reasons, None otherwise.
+    reason is None when the theorem layer is silent and no computation
+    settled the case.
     complete=False marks verdicts left indeterminate by a capped search.
     """
 
     reason: Reason | None
-    certificate: Isometry | tuple[int, ...] | str | None = None
+    certificate: Isometry | tuple[tuple[int, int], ...] | str | None = None
     complete: bool = True
 
     def __post_init__(self) -> None:
@@ -110,6 +129,12 @@ class Verdict:
             self.certificate, Isometry
         ):
             raise InvalidInputError("TraceWitnessExists requires a witness isometry")
+        if self.reason is Reason.COMPUTED_NO_TRACE_MINUS_ONE and not _is_absence_histogram(
+            self.certificate
+        ):
+            raise InvalidInputError(
+                "ComputedNoTraceMinusOne requires a trace histogram without trace -1"
+            )
 
     @property
     def outcome(self) -> Outcome:
@@ -120,15 +145,12 @@ class Verdict:
         return self.certificate if isinstance(self.certificate, Isometry) else None
 
     @property
-    def trace_multiset(self) -> tuple[int, ...] | None:
-        return self.certificate if isinstance(self.certificate, tuple) else None
-
-    @property
     def group_order(self) -> int | None:
         """Order of the fully enumerated group, when one certifies this
-        verdict (only ComputedNoTraceMinusOne carries it)."""
-        traces = self.trace_multiset
-        return len(traces) if traces is not None else None
+        verdict: the multiplicities of its trace histogram summed."""
+        if self.reason is not Reason.COMPUTED_NO_TRACE_MINUS_ONE:
+            return None
+        return sum(m for _, m in self.certificate)
 
     @cached_property
     def output_fields(self) -> tuple[str, str | None, tuple[int, ...] | None, int | None, bool]:

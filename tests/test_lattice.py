@@ -12,6 +12,7 @@ import itertools
 import math
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -477,12 +478,12 @@ def test_trace_search_absent():
     res = find_isometry_with_trace(gram([4, 4]), -1)
     assert res.witness is None
     assert res.complete
-    assert res.traces == (-2, 0, 0, 2)
+    assert res.traces == ((-2, 1), (0, 2), (2, 1))
 
     res = find_isometry_with_trace(gram([2, 4, 2, 4]), -1)
     assert res.witness is None
     assert res.complete
-    assert res.traces == (-4, -2, -2, 0, 0, 2, 2, 4)
+    assert res.traces == ((-4, 1), (-2, 2), (0, 2), (2, 2), (4, 1))
 
 
 def test_trace_search_caps():
@@ -547,7 +548,15 @@ def test_step_budget_alone_bounds_a_capped_search():
             assert find_isometry_with_trace(lat, 99, cap).complete == group.complete
         search = find_isometry_with_trace(lat, 99, last_cap + 1)
         assert search.complete and search.witness is None
-        assert search.traces == group_traces(full)
+        assert search.traces == tuple(sorted(Counter(group_traces(full)).items()))
+        # one pair per trace, at most 2n + 1 of them (a finite-order
+        # integral isometry has |trace| <= n), summing to the group order
+        traces, counts = zip(*search.traces)
+        assert (
+            list(traces) == sorted(set(traces))
+            and len(traces) <= 2 * len(diag) + 1
+            and sum(counts) == full.order
+        )
     assert full.order == 2 * math.factorial(7)
 
 

@@ -59,7 +59,10 @@ def test_reason_outcome():
     assert set(expected) == set(Reason)
     for reason, outcome in expected.items():
         assert reason.outcome is outcome
-        certificate = MINUS_RHO_3 if reason is Reason.TRACE_WITNESS_EXISTS else None
+        certificate = {
+            Reason.TRACE_WITNESS_EXISTS: MINUS_RHO_3,
+            Reason.COMPUTED_NO_TRACE_MINUS_ONE: ((-2, 1), (0, 2), (2, 1)),
+        }.get(reason)
         assert Verdict(reason, certificate).outcome is outcome
     assert Verdict(None).outcome is Outcome.INCONCLUSIVE
     assert Verdict(None, complete=False).outcome is Outcome.INCONCLUSIVE
@@ -70,9 +73,13 @@ def test_verdict_invariants():
         Verdict(Reason.TRACE_WITNESS_EXISTS)
     with pytest.raises(InvalidInputError):
         Verdict(Reason.TRACE_WITNESS_EXISTS, (-1, 1))
+    # the absence of trace -1 needs its proof: a non-empty histogram
+    # without -1
+    for certificate in (None, (), ((-2, 1), (-1, 2), (0, 1))):
+        with pytest.raises(InvalidInputError):
+            Verdict(Reason.COMPUTED_NO_TRACE_MINUS_ONE, certificate)
     v = Verdict(None)
     assert v.witness is None
-    assert v.trace_multiset is None
     assert v.group_order is None
 
 
@@ -87,7 +94,7 @@ def test_verdict_output_fields_are_kept_not_fields():
             ("Inconclusive", "TraceWitnessExists", MINUS_RHO_3.flatten(), None, True),
         ),
         (
-            Verdict(Reason.COMPUTED_NO_TRACE_MINUS_ONE, (-2, 0, 0, 2)),
+            Verdict(Reason.COMPUTED_NO_TRACE_MINUS_ONE, ((-2, 1), (0, 2), (2, 1))),
             ("Obstructed", "ComputedNoTraceMinusOne", None, 4, True),
         ),
         (Verdict(None, complete=False), ("Inconclusive", None, None, None, False)),
@@ -192,7 +199,6 @@ def test_full_decision_witnesses():
     assert v.witness == MINUS_RHO_3
     assert v.complete
     assert v.group_order is None
-    assert v.trace_multiset is None
 
     v = decide_full(56, 15, _zero(56, 15))
     assert v.reason is Reason.TRACE_WITNESS_EXISTS
@@ -218,7 +224,7 @@ def test_full_decision_computed_obstruction():
         Reason.COMPUTED_NO_TRACE_MINUS_ONE,
     )
     assert v.complete
-    assert v.trace_multiset == (-4, -2, -2, 0, 0, 2, 2, 4)
+    assert v.certificate == ((-4, 1), (-2, 2), (0, 2), (2, 2), (4, 1))
     assert v.group_order == 8
     assert v.witness is None
     # the reversed expansion decides the same way

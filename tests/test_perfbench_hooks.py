@@ -91,3 +91,18 @@ def test_traced_worker_reaches_its_spans(workload, tmp_path):
         # The tracer counts structures by len(); every one is read and
         # becomes a record.
         assert layers["contact.structures"] == summary["records"]
+
+
+def test_every_guarded_boundary_is_a_span_its_case_reaches():
+    # perfbench/run.py fails a traced run when a boundary listed under
+    # "guard" in perfbench/reference.json saw calls when the reference
+    # was made and sees none now.  Each such boundary must therefore be
+    # one the cases above require, so that a change that stops reaching
+    # it (say, one that drops the capped quick searches) fails here too,
+    # not only in a traced benchmark run.
+    guard = json.loads((ROOT / "perfbench" / "reference.json").read_text())["guard"]
+    assert set(guard) == set(CASES)
+    for workload, names in guard.items():
+        cross_validated = {"obstruct.cross_validate"} if workload == "scan_p50" else set()
+        spans = CASES[workload][1] | cross_validated
+        assert {name.removesuffix(".calls") for name in names} <= spans, workload

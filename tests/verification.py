@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -501,7 +502,8 @@ def scanned_answers(
         if witness is not None:
             search = TraceSearch(witness=witness, complete=True, traces=None)
         elif complete:
-            search = TraceSearch(None, True, tuple(sorted(iso.trace for iso in elements)))
+            histogram = Counter(iso.trace for iso in elements)
+            search = TraceSearch(None, True, tuple(sorted(histogram.items())))
         else:
             search = TraceSearch(None, False, None)
         answers[cap] = (IsometryGroup(elements, complete), search)

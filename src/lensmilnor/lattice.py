@@ -32,18 +32,18 @@ is searched about once, so nothing is kept across calls.
 A depth reads its list one candidate at a time only until it has read
 it to its end under a given row above.  Whether a candidate pairs to -1
 with the row above, the first test, depends only on that row v and the
-depth's diagonal entry a, never on the rest of the prefix.  So each
-distinct row vector placed at a middle depth keeps its image, built
-once, and from its second placement on a scan under it notes the ranks
-where that pairing is -1 (a pairing it computes anyway), and keeps them
-once it reaches the end of a's list.  Later revisits under v jump from
-one kept rank to the next, test only the older rows there, and are
-charged the candidates the scan would have examined on the way; past
-the last kept rank, the rest of the list.  Only lists already read to
-their end are indexed, so no vector is enumerated that the scan would
-not have read, and steps, elements, order and cap point are the scan's.
-Row 0 keeps nothing, as each vector is row 0 at most once per search,
-and the last depth keeps its counted walk.
+depth's diagonal entry a, never on the rest of the prefix.  So one rule
+holds for every placed row but the last: its vector keeps its image,
+built once per search, and from its first placement on a scan under it
+at depths 2..n - 2 notes the ranks where that pairing is -1 (a pairing
+it computes anyway), and keeps them once it reaches the end of a's
+list.  Later revisits under v jump from one kept rank to the next, test
+only the older rows there, and are charged the candidates the scan would
+have examined on the way; past the last kept rank, the rest of the list.
+Only lists already read to their end are indexed, so no vector is
+enumerated that the scan would not have read, and steps, elements, order
+and cap point are the scan's.  Depth 1 notes nothing, as each vector is
+row 0 at most once per search, and the last depth keeps its counted walk.
 
 The last row is the exception.  Its n - 1 pairings with the placed rows
 are all known, so at most two vectors pass, but a plain scan reads the
@@ -406,12 +406,12 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     with the search.  An enumerator that raises ends the search too, so
     no reader takes its short prefix for the whole set.  A candidate is
     paired with each placed row through the row's sparse image M v,
-    built when row 0 is placed and once per distinct vector below it.
+    built once per distinct vector placed.
 
     The depths 1..n - 2 read their lists one candidate at a time, except
-    on revisits.  A scan under a row above v that was placed before
-    notes the ranks of the candidates pairing to -1 with v, and keeps
-    them, per (v, diagonal entry), once it has read the list to its end;
+    on revisits.  A scan at depths 2..n - 2 under a row above v notes
+    the ranks of the candidates pairing to -1 with v, and keeps them,
+    per (v, diagonal entry), once it has read the list to its end;
     a later visit under v with that entry goes from one kept rank >= its
     resume point to the next, tests the older rows there, and is charged
     rank - k + 1 steps per rank, or len(list) - k past the last one.  So
@@ -436,8 +436,8 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
     streams = {a: ([], _fincke_pohst(diag, a)) for a in set(diag)}
     last = n - 1
     counted = None  # the last depth's set, once it walks
-    # Per row vector v placed at depths 1..n - 2, its image M v; and per
-    # (v, diagonal entry a), once v is placed again and a scan under it
+    # Per row vector v placed above the last depth, its image M v; and
+    # per (v, diagonal entry a), once a scan under v at depths 2..n - 2
     # reads a's list to its end, the ranks there of the vectors that pair
     # to -1 with v.
     known: dict = {}
@@ -445,8 +445,8 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
 
     rows: list = [None] * n
     mrows: list = [None] * n
-    # Per middle depth, for the row above: its kept partner ranks (a
-    # tuple), the ones a scan is noting (a list), or None.
+    # Per depth 2..n - 2, for the row above: its kept partner ranks (a
+    # tuple) or the ones a scan is noting (a list); None elsewhere.
     notes: list = [None] * n
     resume = [0] * n
     steps = cap
@@ -458,7 +458,7 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
         older = mrows[d - 2 :: -1] if d > 1 else ()
         k = resume[d]
         ranks = notes[d]
-        if ranks is not None and type(ranks) is tuple:
+        if type(ranks) is tuple:
             # A revisit: only the kept ranks can pass, and each jump is
             # charged the candidates the scan would examine to reach it.
             v = None
@@ -533,23 +533,16 @@ def _iter_isometries(lattice: IntersectionLattice, cap: int) -> Iterator[Isometr
         rows[d] = v
         if d + 1 == n:
             yield _isometry(tuple(rows))
-        elif d:
+        else:
             image = known.get(v)
+            if image is None:
+                image = known[v] = lattice.mrow(v)
+            mrows[d] = image
             d += 1
             resume[d] = 0
-            if image is None:
-                # a first placement: only the image is kept
-                mrows[d - 1] = known[v] = lattice.mrow(v)
-                notes[d] = None
-            else:
-                mrows[d - 1] = image
-                if d < last:
-                    ranks = partners.get((v, diag[d]))
-                    notes[d] = [] if ranks is None else ranks
-        else:
-            mrows[0] = lattice.mrow(v)
-            d = 1
-            resume[1] = 0
+            if 1 < d < last:
+                ranks = partners.get((v, diag[d]))
+                notes[d] = [] if ranks is None else ranks
 
 
 @dataclass(frozen=True)

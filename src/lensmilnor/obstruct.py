@@ -112,9 +112,10 @@ class Verdict:
 
     outcome is derived: reason.outcome, or Inconclusive when reason is
     None.  certificate carries the payload appropriate to the reason: a
-    witness Isometry for TraceWitnessExists, the group's trace histogram
-    (sorted (trace, multiplicity) pairs) for ComputedNoTraceMinusOne, a
-    defining-equation citation for the registry reasons, None otherwise.
+    witness Isometry of trace -1 for TraceWitnessExists, the group's
+    trace histogram (sorted (trace, multiplicity) pairs) for
+    ComputedNoTraceMinusOne, a defining-equation citation for the
+    registry reasons, None otherwise.
     reason is None when the theorem layer is silent and no computation
     settled the case.
     complete=False marks verdicts left indeterminate by a capped search.
@@ -125,10 +126,12 @@ class Verdict:
     complete: bool = True
 
     def __post_init__(self) -> None:
-        if self.reason is Reason.TRACE_WITNESS_EXISTS and not isinstance(
-            self.certificate, Isometry
+        if self.reason is Reason.TRACE_WITNESS_EXISTS and not (
+            isinstance(self.certificate, Isometry) and self.certificate.trace == -1
         ):
-            raise InvalidInputError("TraceWitnessExists requires a witness isometry")
+            raise InvalidInputError(
+                "TraceWitnessExists requires a witness isometry of trace -1"
+            )
         if self.reason is Reason.COMPUTED_NO_TRACE_MINUS_ONE and not _is_absence_histogram(
             self.certificate
         ):

@@ -73,6 +73,10 @@ def test_verdict_invariants():
         Verdict(Reason.TRACE_WITNESS_EXISTS)
     with pytest.raises(InvalidInputError):
         Verdict(Reason.TRACE_WITNESS_EXISTS, (-1, 1))
+    # a witness must have trace -1: the 1 x 1 identity has trace 1
+    with pytest.raises(InvalidInputError):
+        Verdict(Reason.TRACE_WITNESS_EXISTS, Isometry(((1,),)))
+    assert Verdict(Reason.TRACE_WITNESS_EXISTS, MINUS_RHO_3).witness is MINUS_RHO_3
     # the absence of trace -1 needs its proof: a non-empty histogram
     # without -1
     for certificate in (None, (), ((-2, 1), (-1, 2), (0, 1))):

@@ -3,6 +3,7 @@ not need, used by the tests to re-derive what it asserts."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -138,6 +139,32 @@ def gerstein_prediction(lattice: IntersectionLattice) -> GroupShape | None:
     if lattice.diag == lattice.diag[::-1]:
         return GroupShape.SIGNS_AND_REVERSAL
     return GroupShape.SIGNS_ONLY
+
+
+@functools.cache
+def _weyl_a_traces(k: int) -> frozenset[int]:
+    """Traces of W(A_k) = S_{k+1} on the span of A_k's roots: the
+    permutation module of S_{k+1} is A_k's span plus a line that every
+    sigma fixes, so sigma has trace fix(sigma) - 1 there."""
+    return frozenset(
+        sum(i == j for i, j in enumerate(sigma)) - 1
+        for sigma in itertools.permutations(range(k + 1))
+    )
+
+
+def signed_weyl_traces(diag: tuple[int, ...]) -> frozenset[int]:
+    """Every trace of an element of +-W(R), R the norm-2 roots of the
+    lattice, listed from permutations.
+
+    A maximal run of k 2s spans a root system A_k, roots of different
+    runs are orthogonal, and W(R) fixes R^perp, of rank n - sum k_j; so a
+    trace of W(R) is n - sum k_j plus one trace of W(A_k) per run, and
+    -W(R) has the same traces negated."""
+    runs = [len(tuple(run)) for a, run in itertools.groupby(diag) if a == 2]
+    traces = {len(diag) - sum(runs)}
+    for k in runs:
+        traces = {t + s for t in traces for s in _weyl_a_traces(k)}
+    return frozenset(traces | {-t for t in traces})
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ Every fraction p/q with 0 < q < p and gcd(p, q) = 1 has a unique expansion
     p/q = a1 - 1/(a2 - 1/(... - 1/an)),   all ai >= 2,
 
 obtained by repeated ceiling division.  The coefficient list is the
-standard plumbing description of the lens space L(p, q).  The Chern
-residue reads the weight sequence mu and p, the term one step past the
-last weight of the same recurrence; the intersection-lattice layer works
-from the coefficients alone and computes its own minors.
+standard plumbing description of the lens space L(p, q).  One
+recurrence, the continuants K_i = a_i K_{i-1} - K_{i-2}, gives the rest:
+the Chern residue reads the weight sequence mu and p, the term one step
+past the last weight; the continuants of the reversed coefficients fold
+the expansion back to p/q; and the lattice's minors are the continuants
+of the reversed diagonal.
 
 Per-pair work lives on the expansion object: a CFExpansion computes its
 invariants, its extremal rotation sum and the fraction it folds back to
@@ -49,6 +51,22 @@ class LensSpace:
             raise InvalidInputError(f"p and q must be coprime, got p={self.p}, q={self.q}")
 
 
+def continuants(coeffs: Iterable[int]) -> list[int]:
+    """[K_0, K_1, ..., K_n] with K_0 = 1, K_{-1} = 0 and
+    K_i = a_i K_{i-1} - K_{i-2}: the leading minors of the tridiagonal
+    matrix with diagonal coeffs and -1 beside it.
+
+    For an expansion of p/q they are the weights mu_1..mu_n and then p,
+    with q mu_n = 1 mod p; for the reversed expansion they end in (q, p).
+    """
+    k = [1]
+    prev, cur = 0, 1
+    for a in coeffs:
+        prev, cur = cur, a * cur - prev
+        k.append(cur)
+    return k
+
+
 @dataclass(frozen=True)
 class CFExpansion:
     """Coefficients (a1, ..., an) of a negative-regular continued fraction.
@@ -78,13 +96,10 @@ class CFExpansion:
 
     @cached_property
     def invariants(self) -> CFInvariants:
-        """Weights mu and p; see cf_invariants."""
-        mu = []
-        prev, cur = 0, 1
-        for a in self.coeffs:
-            mu.append(cur)
-            prev, cur = cur, a * cur - prev
-        return CFInvariants(tuple(mu), cur)
+        """Weights mu and p, the continuants K_0..K_{n-1} and K_n; see
+        cf_invariants."""
+        k = continuants(self.coeffs)
+        return CFInvariants(tuple(k[:-1]), k[-1])
 
     @cached_property
     def extremal_sum(self) -> int:
@@ -95,11 +110,10 @@ class CFExpansion:
     @cached_property
     def fraction(self) -> LensSpace:
         """The fraction p/q the expansion represents, folded from the
-        right: the inverse of expand."""
-        num, den = self.coeffs[-1], 1
-        for a in reversed(self.coeffs[:-1]):
-            num, den = a * num - den, num
-        return LensSpace(num, den)
+        right: the inverse of expand.  p and q are the last two
+        continuants of the reversed coefficients."""
+        k = continuants(reversed(self.coeffs))
+        return LensSpace(k[-1], k[-2])
 
 
 def as_expansion(value: CFExpansion | Iterable[int]) -> CFExpansion:

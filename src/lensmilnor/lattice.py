@@ -10,13 +10,15 @@ and its pairings with earlier rows must reproduce the Gram entries.  Rows
 are filled depth-first over the short vectors.  Short vectors come from
 an integer Fincke-Pohst enumeration: the LDL^T factors of the
 tridiagonal form are ratios of the leading minors of the reversed
-diagonal, so the form is a weighted sum of squares whose remainders,
-scaled by one minor, stay integers.  Coordinates are fixed from the first
-one on, each within exact bounds from math.isqrt, and tried in canonical
-order, so the vectors come out canonically sorted by construction.  No
-floats, fractions or sorting are involved.  Norm 2 takes no descent:
+diagonal (its contfrac.continuants), so the form is a weighted sum of
+squares whose remainders, scaled by one minor, stay integers.
+Coordinates are fixed from the first one on, each within exact bounds
+from math.isqrt, and tried in canonical order, so the vectors come out
+canonically sorted by construction.  No floats, fractions or sorting are
+involved.  Norm 2 takes no descent:
 Q(x) = sum (a_i - 2) x_i^2 + x_1^2 + x_n^2 + sum (x_i - x_i+1)^2, so its
-vectors are +-(e_i + ... + e_j) inside one run of 2s, listed from the runs.
+vectors are +-(e_i + ... + e_j) inside one run of 2s, listed from the
+runs that _runs_of_twos finds, the runs weyl_witness reads too.
 
 The enumeration is a generator with an explicit stack of levels that
 yields one vector at a time.  Each search keeps, per distinct diagonal
@@ -86,9 +88,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator
 
-from .contfrac import CFExpansion, as_expansion
+from .contfrac import CFExpansion, as_expansion, continuants
 from .errors import DEFAULT_CAP, InvalidInputError, check_cap, check_int
 
 
@@ -194,17 +197,16 @@ def _canonical_range(lo: int, hi: int) -> Iterable[int]:
     return out
 
 
-def _reversed_minors(diag: tuple[int, ...]) -> list[int]:
-    """Leading minors of the reversed diagonal: m[k] = a'_k m[k-1] - m[k-2],
-    m[0] = 1.  With y = x reversed, the LDL^T form is
-      Q(x) = sum_k (m[k] y_k - m[k-1] y_{k+1})^2 / (m[k] m[k-1]),
-    so level i fixes x_i = y_k with k = n - i, given x_{i-1} = y_{k+1}."""
-    m = [1]
-    prev2 = 0
-    for a in reversed(diag):
-        m.append(a * m[-1] - prev2)
-        prev2 = m[-2]
-    return m
+def _runs_of_twos(diag: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, length) of every maximal run of consecutive 2s."""
+    runs = []
+    start = 0
+    for a, run in groupby(diag):
+        length = len(tuple(run))
+        if a == 2:
+            runs.append((start, length))
+        start += length
+    return runs
 
 
 def _fincke_pohst(diag: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
@@ -219,20 +221,22 @@ def _fincke_pohst(diag: tuple[int, ...], target: int) -> Iterator[tuple[int, ...
     """
     n = len(diag)
     if target == 2:
-        stop = n  # the end of the run of 2s through start
-        for start in reversed(range(n)):
-            if diag[start] != 2:
-                stop = start
-                continue
-            for sign in (-1, 1):
-                for end in range(start + 1, stop + 1):
-                    yield (0,) * start + (sign,) * (end - start) + (0,) * (n - end)
+        for first, length in reversed(_runs_of_twos(diag)):
+            stop = first + length
+            for start in reversed(range(first, stop)):
+                for sign in (-1, 1):
+                    for end in range(start + 1, stop + 1):
+                        yield (0,) * start + (sign,) * (end - start) + (0,) * (n - end)
         return
-    m = _reversed_minors(diag)
+    m = continuants(diag[::-1])
     x = [0] * n
     todo: list = [None] * n
     bounds = [0] * n
     centres = [0] * n
+    # m holds the leading minors of the reversed diagonal.  With y = x
+    # reversed, the LDL^T form is
+    #   Q(x) = sum_k (m[k] y_k - m[k-1] y_{k+1})^2 / (m[k] m[k-1]),
+    # so level i fixes x_i = y_k with k = n - i, given x_{i-1} = y_{k+1}.
     # s = m[k] * R, R the norm left for the terms k..1.  s is an integer
     # (Schur complement): the terms above k sum to min over real y_1..y_k
     # of Q = Q_tail(y_>k) - y_{k+1}^2 (H_k^-1)_kk with (H_k^-1)_kk =
@@ -303,7 +307,7 @@ class _CountedSet:
 
     def __init__(self, diag: tuple[int, ...], target: int) -> None:
         n = self.n = len(diag)
-        m = _reversed_minors(diag)
+        m = continuants(diag[::-1])
         self.root = (0, 0, m[n] * target)
         children: dict[tuple[int, int, int], list] = {}
         level = {self.root}
@@ -617,19 +621,6 @@ def find_isometry_with_trace(
     except _SearchCapped:
         return TraceSearch(witness=None, complete=False, traces=None)
     return TraceSearch(witness=None, complete=True, traces=tuple(sorted(counts.items())))
-
-
-def _runs_of_twos(diag: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(start, length) of every maximal run of consecutive 2s."""
-    runs: list[tuple[int, int]] = []
-    for i, a in enumerate(diag):
-        if a != 2:
-            continue
-        if runs and runs[-1][0] + runs[-1][1] == i:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((i, 1))
-    return runs
 
 
 def _chain_lengths(runs: list[tuple[int, int]], target: int) -> list[int] | None:

@@ -29,7 +29,6 @@ from lensmilnor import (
 
 from lensmilnor.contact import zero_vector
 import lensmilnor.lattice as lattice_module
-import lensmilnor.obstruct as obstruct_module
 import verification
 from lensmilnor.lattice import weyl_witness
 from lensmilnor.obstruct import decide_theorem, scan
@@ -728,22 +727,24 @@ def test_row_search_matches_the_scan_oracle_on_runs_of_twos(monkeypatch):
     }
 
 
-def test_row_search_matches_the_scan_oracle_on_revisited_depths(monkeypatch):
+def test_row_search_matches_the_scan_oracle_on_revisited_depths():
     # The middle depths jump between kept -1 partners on revisits: every
-    # lattice whose quick search caps in scan(50), a few of them with ten
-    # times the budget, and 2s on both sides of a larger entry.
+    # theorem-silent zero-rotation lattice with p <= 50 whose search caps
+    # at 10,000 steps, a few of them with ten times the budget, and 2s on
+    # both sides of a larger entry.
     capped = set()
-    real = obstruct_module.find_isometry_with_trace
-
-    def recorded(lat, trace, cap):
-        search = real(lat, trace, cap)
-        if not search.complete:
-            capped.add(lat.diag)
-        return search
-
-    monkeypatch.setattr(obstruct_module, "find_isometry_with_trace", recorded)
-    for _ in scan(50):
-        pass
+    for p in range(2, 51):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            exp = expand(p, q)
+            if any(a % 2 for a in exp):
+                continue
+            if decide_theorem(p, q, zero_vector(exp)).reason is not None:
+                continue
+            lat = gram(exp)
+            if not find_isometry_with_trace(lat, -1, 10_000).complete:
+                capped.add(lat.diag)
     assert len(capped) == 43
     for diag in sorted(capped):
         _assert_search_matches_the_scan(IntersectionLattice(diag), (1_000, 10_000))

@@ -91,14 +91,15 @@ _THEOREM_REASONS = (Reason.THEOREM_B, Reason.THEOREM_CI, Reason.THEOREM_CII)
 
 def _is_absence_histogram(certificate: object) -> bool:
     """A non-empty tuple of (trace, multiplicity >= 1) integer pairs with
-    no trace -1: what a completed search without a witness proves."""
+    no trace -1: what a completed search without a witness proves.  bool
+    is an int subclass, but True standing for 1 is refused."""
     return (
         isinstance(certificate, tuple)
         and len(certificate) > 0
         and all(
             isinstance(pair, tuple)
             and len(pair) == 2
-            and all(isinstance(x, int) for x in pair)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
             and pair[0] != -1
             and pair[1] >= 1
             for pair in certificate
@@ -118,7 +119,8 @@ class Verdict:
     registry reasons, None otherwise.
     reason is None when the theorem layer is silent and no computation
     settled the case.
-    complete=False marks verdicts left indeterminate by a capped search.
+    complete=False marks verdicts left indeterminate by a capped search;
+    they have no reason.
     """
 
     reason: Reason | None
@@ -126,18 +128,24 @@ class Verdict:
     complete: bool = True
 
     def __post_init__(self) -> None:
-        if self.reason is Reason.TRACE_WITNESS_EXISTS and not (
-            isinstance(self.certificate, Isometry) and self.certificate.trace == -1
-        ):
+        reason, certificate = self.reason, self.certificate
+        if reason is Reason.TRACE_WITNESS_EXISTS:
+            if not (isinstance(certificate, Isometry) and certificate.trace == -1):
+                raise InvalidInputError(
+                    "TraceWitnessExists requires a witness isometry of trace -1"
+                )
+        elif reason is Reason.COMPUTED_NO_TRACE_MINUS_ONE:
+            if not _is_absence_histogram(certificate):
+                raise InvalidInputError(
+                    "ComputedNoTraceMinusOne requires a trace histogram without trace -1"
+                )
+        elif isinstance(certificate, (Isometry, tuple)):
             raise InvalidInputError(
-                "TraceWitnessExists requires a witness isometry of trace -1"
+                "only TraceWitnessExists carries a witness and only"
+                " ComputedNoTraceMinusOne a trace histogram"
             )
-        if self.reason is Reason.COMPUTED_NO_TRACE_MINUS_ONE and not _is_absence_histogram(
-            self.certificate
-        ):
-            raise InvalidInputError(
-                "ComputedNoTraceMinusOne requires a trace histogram without trace -1"
-            )
+        if not self.complete and reason is not None:
+            raise InvalidInputError("only a verdict without a reason can be incomplete")
 
     @property
     def outcome(self) -> Outcome:

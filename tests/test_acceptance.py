@@ -42,7 +42,7 @@ from lensmilnor.lattice import weyl_witness
 from verification import (
     canonical_vector_key,
     dense_gram,
-    gerstein_prediction,
+    group_shape,
     group_traces,
     is_palindromic,
     lemma_bounds,
@@ -169,14 +169,14 @@ def test_acceptance_05_group_shapes_for_large_even_diagonals():
         for diag in itertools.product((4, 6, 8), repeat=n):
             count += 1
             lat = IntersectionLattice(diag)
-            shape = gerstein_prediction(lat)
+            shape = group_shape(diag)
             group = orthogonal_group(lat)
             if not group.complete:
                 failures.append(f"{diag} capped")
                 continue
-            if group.elements != shape.predicted_elements(n):
+            if group.elements != shape.cosets:
                 failures.append(f"{diag} elements")
-            elif group.order != shape.predicted_order:
+            elif group.order != shape.order:
                 failures.append(f"{diag} order")
     elapsed = time.perf_counter() - start
     ok = not failures and count == 360 and elapsed < 60.0

@@ -33,12 +33,11 @@ import verification
 from lensmilnor.lattice import weyl_witness
 from lensmilnor.obstruct import decide_theorem, scan
 from verification import (
-    GroupShape,
     canonical_matrix_key,
     canonical_vector_key,
     dense_gram,
     det,
-    gerstein_prediction,
+    group_shape,
     group_traces,
     identity,
     is_isometry_dense,
@@ -49,7 +48,6 @@ from verification import (
     reversal,
     scanned_answers,
     short_vectors_rational,
-    signed_weyl_traces,
 )
 
 MINUS_RHO_3 = Isometry(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
@@ -175,7 +173,7 @@ def _enumeration_cases():
             if math.gcd(p, q) != 1:
                 continue
             diag = expand(p, q).coeffs
-            if gerstein_prediction(IntersectionLattice(diag)) is None:
+            if len(diag) < 2 or min(diag) < 3:
                 continue
             for a in sorted(set(diag)):
                 yield diag, a
@@ -567,36 +565,77 @@ def test_row_search_depth_is_not_bounded_by_recursion():
     assert not group.complete
 
 
-def test_gerstein_prediction():
-    assert gerstein_prediction(gram([4])) is None
-    assert gerstein_prediction(gram([3])) is None
-    assert gerstein_prediction(gram([2, 4])) is None
-    assert gerstein_prediction(gram([4, 2, 4])) is None
-    assert gerstein_prediction(gram([4, 6])) is GroupShape.SIGNS_ONLY
-    assert gerstein_prediction(gram([4, 4])) is GroupShape.SIGNS_AND_REVERSAL
-    assert gerstein_prediction(gram([3, 5, 3])) is GroupShape.SIGNS_AND_REVERSAL
-    assert gerstein_prediction(gram([3, 5, 4])) is GroupShape.SIGNS_ONLY
-    assert GroupShape.SIGNS_ONLY.predicted_order == 2
-    assert GroupShape.SIGNS_AND_REVERSAL.predicted_order == 4
+def test_group_shape():
+    # O(L) = +-W(R) x| <rho>, W(R) = prod S_{k+1} over the runs of k 2s:
+    # Gerstein's {+-1} or {+-1, +-rho} where W is trivial, W alone for
+    # [2], whose reflection is -1, and rho only on palindromic diagonals
+    # that are not all 2s
+    def signs(n):
+        return (negate(identity(n)), identity(n))
 
+    def signs_and_reversal(n):
+        return (negate(reversal(n)), reversal(n), *signs(n))
 
-def test_predictions_match_enumeration():
-    ident2 = identity(2)
-    rho2 = reversal(2)
-    assert GroupShape.SIGNS_ONLY.predicted_elements(2) == (negate(ident2), ident2)
-    assert GroupShape.SIGNS_AND_REVERSAL.predicted_elements(2) == (
-        negate(rho2),
-        rho2,
-        negate(ident2),
-        ident2,
+    assert signs(2) == (Isometry(((-1, 0), (0, -1))), Isometry(((1, 0), (0, 1))))
+    assert signs_and_reversal(2) == (
+        Isometry(((0, -1), (-1, 0))),
+        Isometry(((0, 1), (1, 0))),
+        *signs(2),
     )
-    for diag in [(4, 6), (4, 4), (3, 5, 3), (3, 5, 4), (6, 3, 4, 5)]:
+    expected = {
+        # diag: (runs of 2s, |W(R)|, coset representatives, |O(L)|)
+        (2,): ((1,), 2, (identity(1),), 2),
+        (4,): ((), 1, signs(1), 2),
+        (2, 2): ((2,), 6, signs(2), 12),
+        (2, 4): ((1,), 2, signs(2), 4),
+        (4, 2, 4): ((1,), 2, signs_and_reversal(3), 8),
+        (4, 6): ((), 1, signs(2), 2),
+        (4, 4): ((), 1, signs_and_reversal(2), 4),
+        (3, 5, 3): ((), 1, signs_and_reversal(3), 4),
+        (3, 5, 4): ((), 1, signs(3), 2),
+        (6, 3, 4, 5): ((), 1, signs(4), 2),
+    }
+    for diag, shape in expected.items():
+        assert group_shape(diag) == shape, diag
+
+
+def test_group_shape_matches_every_completed_group():
+    # Every expansion with p <= 60, up to reversal, and the Gerstein
+    # diagonals above, searched under one cap.  A group that completes
+    # has the predicted order and holds every coset representative; where
+    # W is trivial the cosets are the group, and where O(L) = +-W(R) the
+    # group's traces are W's and weyl_witness finds trace -1 exactly when
+    # the group holds it.  Only a 2 on the diagonal lets the search cap.
+    diags = {
+        min(d, d[::-1])
+        for d in (
+            expand(p, q).coeffs for p in range(2, 61) for q in range(1, p) if math.gcd(p, q) == 1
+        )
+    }
+    diags |= {(4, 6), (4, 4), (3, 5, 3), (3, 5, 4), (6, 3, 4, 5)}
+    counts = Counter()
+    for diag in diags:
         lat = IntersectionLattice(diag)
-        shape = gerstein_prediction(lat)
-        group = orthogonal_group(lat)
-        assert group.complete
-        assert group.elements == shape.predicted_elements(lat.n)
-        assert group.order == shape.predicted_order
+        shape = group_shape(diag)
+        group = orthogonal_group(lat, 20_000)
+        if not group.complete:
+            assert 2 in diag, diag
+            counts["capped"] += 1
+            continue
+        assert group.order == shape.order, diag
+        assert set(shape.cosets) <= set(group.elements), diag
+        if shape.weyl_order == 1:
+            assert group.elements == shape.cosets, diag
+            counts["W trivial"] += 1
+        if len(shape.cosets) < 4:  # O(L) = +-W(R)
+            traces = {e.trace for e in group}
+            assert traces == shape.weyl_traces, diag
+            assert (weyl_witness(lat) is not None) == (-1 in traces), diag
+            counts["+-W(R)"] += 1
+        else:
+            counts["with rho"] += 1
+    assert len(diags) == 645
+    assert counts == {"capped": 238, "W trivial": 120, "+-W(R)": 357, "with rho": 50}
 
 
 def _live_streams():
@@ -831,9 +870,10 @@ def test_weyl_witness_exists_exactly_when_signed_weyl_traces_hold_minus_one():
     for n in range(1, 9):
         for diag in itertools.product((2, 3, 4), repeat=n):
             lat = IntersectionLattice(diag)
-            assert (weyl_witness(lat) is not None) == (-1 in signed_weyl_traces(diag)), diag
-    assert signed_weyl_traces((2, 2)) == {-2, -1, 0, 1, 2}
-    assert signed_weyl_traces((3, 4)) == {-2, 2}
+            weyl_traces = group_shape(diag).weyl_traces
+            assert (weyl_witness(lat) is not None) == (-1 in weyl_traces), diag
+    assert group_shape((2, 2)).weyl_traces == {-2, -1, 0, 1, 2}
+    assert group_shape((3, 4)).weyl_traces == {-2, 2}
 
 
 def test_weyl_witness_on_theorem_silent_lattices():

@@ -37,6 +37,11 @@ from lensmilnor.lattice import weyl_witness
 from verification import is_isometry_dense
 
 MINUS_RHO_3 = Isometry(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
+# a valid certificate for each reason that needs one
+CERTIFICATES = {
+    Reason.TRACE_WITNESS_EXISTS: MINUS_RHO_3,
+    Reason.COMPUTED_NO_TRACE_MINUS_ONE: ((-2, 1), (0, 2), (2, 1)),
+}
 
 
 def _zero(p, q):
@@ -59,11 +64,7 @@ def test_reason_outcome():
     assert set(expected) == set(Reason)
     for reason, outcome in expected.items():
         assert reason.outcome is outcome
-        certificate = {
-            Reason.TRACE_WITNESS_EXISTS: MINUS_RHO_3,
-            Reason.COMPUTED_NO_TRACE_MINUS_ONE: ((-2, 1), (0, 2), (2, 1)),
-        }.get(reason)
-        assert Verdict(reason, certificate).outcome is outcome
+        assert Verdict(reason, CERTIFICATES.get(reason)).outcome is outcome
     assert Verdict(None).outcome is Outcome.INCONCLUSIVE
     assert Verdict(None, complete=False).outcome is Outcome.INCONCLUSIVE
 
@@ -79,9 +80,20 @@ def test_verdict_invariants():
     assert Verdict(Reason.TRACE_WITNESS_EXISTS, MINUS_RHO_3).witness is MINUS_RHO_3
     # the absence of trace -1 needs its proof: a non-empty histogram
     # without -1
-    for certificate in (None, (), ((-2, 1), (-1, 2), (0, 1))):
+    for certificate in (None, (), ((-2, 1), (-1, 2), (0, 1)), ((0, True),), ((False, 1),)):
         with pytest.raises(InvalidInputError):
             Verdict(Reason.COMPUTED_NO_TRACE_MINUS_ONE, certificate)
+    # a witness or a histogram only under the reason that carries it, and
+    # only a verdict without a reason left indeterminate
+    for reason in (None, *(r for r in Reason if r is not Reason.TRACE_WITNESS_EXISTS)):
+        with pytest.raises(InvalidInputError):
+            Verdict(reason, Isometry(((-1,),)))
+    for reason in (None, *(r for r in Reason if r is not Reason.COMPUTED_NO_TRACE_MINUS_ONE)):
+        with pytest.raises(InvalidInputError):
+            Verdict(reason, ((0, 2),))
+    for reason in Reason:
+        with pytest.raises(InvalidInputError):
+            Verdict(reason, CERTIFICATES.get(reason), complete=False)
     v = Verdict(None)
     assert v.witness is None
     assert v.group_order is None

@@ -1,5 +1,6 @@
 """Property tests: continued fractions of 50-digit fractions and the group
-axioms of small isometry groups, on inputs drawn by hypothesis.
+axioms and predicted orders of small isometry groups, on inputs drawn by
+hypothesis.
 
 hypothesis is a test-only dependency (the `test` extra in
 pyproject.toml); without it this module is skipped.
@@ -19,7 +20,7 @@ from lensmilnor import (
     orthogonal_group,
 )
 from lensmilnor.contfrac import continuants, q_squared_is_one
-from verification import identity, is_isometry_dense, matmul, negate, signed_minors
+from verification import group_shape, identity, is_isometry_dense, matmul, negate, signed_minors
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -86,6 +87,7 @@ def test_completed_groups_satisfy_the_group_axioms(diag):
     group = orthogonal_group(IntersectionLattice(diag))
     assume(group.complete)
     elements = set(group)
+    assert len(elements) == group_shape(diag).order
     one = identity(len(diag))
     assert one in elements and negate(one) in elements
     for g in group:

@@ -8,9 +8,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from lensmilnor import (
     CFExpansion,
@@ -108,39 +107,6 @@ def norm(m: list[list[int]], v: tuple[int, ...]) -> int:
     return pairing(m, v, v)
 
 
-class GroupShape(Enum):
-    """Predicted shape of O_Z(M) for diagonals with every entry >= 3:
-    sign pair {+-id} when the diagonal is not palindromic, sign pair plus
-    reversal {+-id, +-rho} when it is."""
-
-    SIGNS_ONLY = "signs_only"
-    SIGNS_AND_REVERSAL = "signs_and_reversal"
-
-    @property
-    def predicted_order(self) -> int:
-        return 2 if self is GroupShape.SIGNS_ONLY else 4
-
-    def predicted_elements(self, n: int) -> tuple[Isometry, ...]:
-        """The predicted group, built directly and canonically sorted."""
-        ident = identity(n)
-        elems = [ident, negate(ident)]
-        if self is GroupShape.SIGNS_AND_REVERSAL:
-            rho = reversal(n)
-            elems += [rho, negate(rho)]
-        return tuple(sorted(elems, key=canonical_matrix_key))
-
-
-def gerstein_prediction(lattice: IntersectionLattice) -> GroupShape | None:
-    """Shape of O_Z(M) when rank >= 2 and every diagonal entry >= 3;
-    None when that hypothesis fails (2s in the diagonal allow much larger
-    groups)."""
-    if lattice.n < 2 or min(lattice.diag) < 3:
-        return None
-    if lattice.diag == lattice.diag[::-1]:
-        return GroupShape.SIGNS_AND_REVERSAL
-    return GroupShape.SIGNS_ONLY
-
-
 @functools.cache
 def _weyl_a_traces(k: int) -> frozenset[int]:
     """Traces of W(A_k) = S_{k+1} on the span of A_k's roots: the
@@ -152,19 +118,42 @@ def _weyl_a_traces(k: int) -> frozenset[int]:
     )
 
 
-def signed_weyl_traces(diag: tuple[int, ...]) -> frozenset[int]:
-    """Every trace of an element of +-W(R), R the norm-2 roots of the
-    lattice, listed from permutations.
+class GroupShape(NamedTuple):
+    """Predicted O_Z(M) = +-W(R) x| <rho>, R the norm-2 roots, W(R) the
+    product of S_{k+1} over the maximal runs of k 2s: weyl_order = |W(R)|,
+    cosets the canonically sorted representatives of O_Z(M) / W(R), and
+    order = weyl_order * len(cosets).  Gerstein's theorem (every entry
+    >= 3) is the case weyl_order == 1, where cosets is the whole group."""
 
-    A maximal run of k 2s spans a root system A_k, roots of different
-    runs are orthogonal, and W(R) fixes R^perp, of rank n - sum k_j; so a
-    trace of W(R) is n - sum k_j plus one trace of W(A_k) per run, and
-    -W(R) has the same traces negated."""
-    runs = [len(tuple(run)) for a, run in itertools.groupby(diag) if a == 2]
-    traces = {len(diag) - sum(runs)}
-    for k in runs:
-        traces = {t + s for t in traces for s in _weyl_a_traces(k)}
-    return frozenset(traces | {-t for t in traces})
+    runs: tuple[int, ...]
+    weyl_order: int
+    cosets: tuple[Isometry, ...]
+    order: int
+
+    @property
+    def weyl_traces(self) -> frozenset[int]:
+        """Every trace of an element of +-W(R), listed from permutations on
+        access.  Runs span orthogonal A_k and W(R) fixes R^perp, of rank
+        n - sum k, so a trace of W(R) is n - sum k plus one of W(A_k)'s
+        per run; -W(R) has the same traces negated."""
+        traces = {self.cosets[0].n - sum(self.runs)}
+        for k in self.runs:
+            traces = {t + s for t in traces for s in _weyl_a_traces(k)}
+        return frozenset(traces | {-t for t in traces})
+
+
+def group_shape(diag: tuple[int, ...]) -> GroupShape:
+    """The predicted shape for any diagonal.  The cosets are {1} for [2],
+    whose reflection is -1; {+-1, +-rho} when the diagonal is palindromic,
+    n >= 2 and not all 2s; {+-1} otherwise."""
+    n = len(diag)
+    runs = tuple(len(tuple(run)) for a, run in itertools.groupby(diag) if a == 2)
+    cosets = [identity(n)] if diag == (2,) else [identity(n), negate(identity(n))]
+    if n >= 2 and diag == diag[::-1] and sum(runs) != n:
+        cosets += [reversal(n), negate(reversal(n))]
+    weyl_order = math.prod(math.factorial(k + 1) for k in runs)
+    cosets = tuple(sorted(cosets, key=canonical_matrix_key))
+    return GroupShape(runs, weyl_order, cosets, weyl_order * len(cosets))
 
 
 @dataclass(frozen=True)

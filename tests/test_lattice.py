@@ -565,35 +565,56 @@ def test_row_search_depth_is_not_bounded_by_recursion():
     assert not group.complete
 
 
-def test_group_shape():
-    # O(L) = +-W(R) x| <rho>, W(R) = prod S_{k+1} over the runs of k 2s:
-    # Gerstein's {+-1} or {+-1, +-rho} where W is trivial, W alone for
-    # [2], whose reflection is -1, and rho only on palindromic diagonals
-    # that are not all 2s
-    def signs(n):
-        return (negate(identity(n)), identity(n))
+def _signs(n):
+    return (negate(identity(n)), identity(n))
 
-    def signs_and_reversal(n):
-        return (negate(reversal(n)), reversal(n), *signs(n))
 
-    assert signs(2) == (Isometry(((-1, 0), (0, -1))), Isometry(((1, 0), (0, 1))))
-    assert signs_and_reversal(2) == (
+def _signs_and_reversal(n):
+    return (negate(reversal(n)), reversal(n), *_signs(n))
+
+
+def test_gerstein_prediction():
+    # Gerstein: with no 2 on the diagonal W(R) is trivial and O(L) is
+    # {+-1}, or {+-1, +-rho} on a palindromic diagonal with n >= 2
+    expected = {
+        # diag: (runs of 2s, |W(R)|, coset representatives, |O(L)|)
+        (3,): ((), 1, _signs(1), 2),
+        (4,): ((), 1, _signs(1), 2),
+        (4, 6): ((), 1, _signs(2), 2),
+        (4, 4): ((), 1, _signs_and_reversal(2), 4),
+        (3, 5, 3): ((), 1, _signs_and_reversal(3), 4),
+        (3, 5, 4): ((), 1, _signs(3), 2),
+        (6, 3, 4, 5): ((), 1, _signs(4), 2),
+    }
+    for diag, shape in expected.items():
+        assert group_shape(diag) == shape, diag
+
+
+def test_predictions_match_enumeration():
+    assert _signs(2) == (Isometry(((-1, 0), (0, -1))), Isometry(((1, 0), (0, 1))))
+    assert _signs_and_reversal(2) == (
         Isometry(((0, -1), (-1, 0))),
         Isometry(((0, 1), (1, 0))),
-        *signs(2),
+        *_signs(2),
     )
+    for diag in [(4, 6), (4, 4), (3, 5, 3), (3, 5, 4), (6, 3, 4, 5)]:
+        shape = group_shape(diag)
+        group = orthogonal_group(IntersectionLattice(diag))
+        assert group.complete
+        assert group.elements == shape.cosets
+        assert group.order == shape.order
+
+
+def test_group_shape():
+    # O(L) = +-W(R) x| <rho>, W(R) = prod S_{k+1} over the runs of k 2s:
+    # W alone for [2], whose reflection is -1, and rho only on palindromic
+    # diagonals that are not all 2s
     expected = {
         # diag: (runs of 2s, |W(R)|, coset representatives, |O(L)|)
         (2,): ((1,), 2, (identity(1),), 2),
-        (4,): ((), 1, signs(1), 2),
-        (2, 2): ((2,), 6, signs(2), 12),
-        (2, 4): ((1,), 2, signs(2), 4),
-        (4, 2, 4): ((1,), 2, signs_and_reversal(3), 8),
-        (4, 6): ((), 1, signs(2), 2),
-        (4, 4): ((), 1, signs_and_reversal(2), 4),
-        (3, 5, 3): ((), 1, signs_and_reversal(3), 4),
-        (3, 5, 4): ((), 1, signs(3), 2),
-        (6, 3, 4, 5): ((), 1, signs(4), 2),
+        (2, 2): ((2,), 6, _signs(2), 12),
+        (2, 4): ((1,), 2, _signs(2), 4),
+        (4, 2, 4): ((1,), 2, _signs_and_reversal(3), 8),
     }
     for diag, shape in expected.items():
         assert group_shape(diag) == shape, diag
